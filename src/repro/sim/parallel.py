@@ -10,9 +10,7 @@ returns results in submission order, which keeps every downstream
 aggregation (GMEAN tables, sweeps) bit-identical to a serial run.
 
 Result persistence lives in :mod:`repro.sim.store` (the
-content-addressed store that subsumed the old alone-IPC table); the
-cache constants and :class:`~repro.sim.store.AloneIpcDiskCache`
-compatibility view are re-exported here for historical importers.
+content-addressed store that subsumed the old alone-IPC table).
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ import atexit
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Optional, Sequence
@@ -28,12 +27,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.cpu.core import CoreConfig
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import SimulationResult, run_traces
-from repro.sim.store import (  # noqa: F401  (re-exports)
-    CACHE_DIR_ENV,
-    CACHE_VERSION,
-    DEFAULT_CACHE_DIR,
-    AloneIpcDiskCache,
-)
+from repro.sim.store import CACHE_DIR_ENV
 
 #: Environment variable overriding :data:`DEFAULT_GRID_MIN_COST`: set it
 #: to ``0`` to force the pool path, or very high to force serial.
@@ -158,17 +152,14 @@ def _pool_fingerprint(workers: int) -> tuple:
     # fork snapshots module globals, so a pool is only reusable while
     # the defaults its workers inherited still match the parent's.
     from repro.controller.scheduler import INCREMENTAL_DEFAULT
-    from repro.sim.shards import SHARDS_DEFAULT
-    return (workers, INCREMENTAL_DEFAULT, SHARDS_DEFAULT,
-            os.environ.get(CACHE_DIR_ENV))
+    return (workers, INCREMENTAL_DEFAULT, os.environ.get(CACHE_DIR_ENV))
 
 
 def _warm_executor(workers: int) -> ProcessPoolExecutor:
     global _warm_pool, _warm_pool_key
     key = _pool_fingerprint(workers)
     if _warm_pool is not None and _warm_pool_key != key:
-        _warm_pool.shutdown(wait=False)
-        _warm_pool = None
+        _shutdown_warm_pool()
     if _warm_pool is None:
         # fork shares the loaded modules with the workers; spawn (the
         # only option on some platforms) re-imports them, which is
@@ -184,10 +175,11 @@ def _warm_executor(workers: int) -> ProcessPoolExecutor:
 
 @atexit.register
 def _shutdown_warm_pool() -> None:
-    global _warm_pool
+    global _warm_pool, _warm_pool_key
     if _warm_pool is not None:
         _warm_pool.shutdown(wait=False)
-        _warm_pool = None
+    _warm_pool = None
+    _warm_pool_key = None
 
 
 def run_grid(jobs: Sequence[SimJob], workers: int = 1,
@@ -208,6 +200,9 @@ def run_grid(jobs: Sequence[SimJob], workers: int = 1,
     order as they arrive (the spec runner uses it to persist each cell
     to the store and report progress the moment it lands, so a killed
     run keeps everything already finished).
+
+    A worker that dies mid-grid raises :class:`BrokenProcessPool`; the
+    broken pool is discarded first, so the next call forks a fresh one.
     """
     jobs = list(jobs)
     results: List[SimulationResult] = []
@@ -228,9 +223,13 @@ def run_grid(jobs: Sequence[SimJob], workers: int = 1,
     # a wide pool must not collapse to one chunk per worker short of
     # covering the list.
     chunk = max(1, len(jobs) // (min(workers, len(jobs)) * 4))
-    for index, result in enumerate(
-            pool.map(_run_job, jobs, chunksize=chunk)):
-        if on_result is not None:
-            on_result(index, result)
-        results.append(result)
+    try:
+        for index, result in enumerate(
+                pool.map(_run_job, jobs, chunksize=chunk)):
+            if on_result is not None:
+                on_result(index, result)
+            results.append(result)
+    except BrokenProcessPool:
+        _shutdown_warm_pool()
+        raise
     return results

@@ -107,9 +107,8 @@ def store_key(config: SystemConfig, *, accesses: int,
 
 def serialize_result(result: SimulationResult) -> dict:
     """JSON-able summary carrying everything the reducers and the
-    result digest read.  Perf counters (peeks, wall time, shard
-    diagnostics) are host-side observations, not behaviour, and are
-    deliberately dropped."""
+    result digest read.  Perf counters (peeks, wall time) are host-side
+    observations, not behaviour, and are deliberately dropped."""
     s = result.stats
     e = result.energy
     return {
@@ -274,8 +273,8 @@ class ResultStore:
     def entry_id(key: str) -> str:
         """Normalise a key to a 64-hex entry id.
 
-        Store keys already are digests; the compatibility view may pass
-        arbitrary strings, which are hashed into the same namespace.
+        Store keys already are digests; any other string is hashed into
+        the same namespace.
         """
         if _HEX_KEY.fullmatch(key):
             return key
@@ -388,7 +387,7 @@ class ResultStore:
 
     def put_scalar(self, key: str, ipc: float,
                    key_info: Optional[dict] = None) -> None:
-        """Persist a bare alone-IPC value (compatibility writes).
+        """Persist a bare alone-IPC value.
 
         The entry holds a degenerate one-core summary so scalar and
         full-summary writers share one read path (``ipcs[0]``).
@@ -483,49 +482,3 @@ class ResultStore:
     def _miss(self) -> None:
         self.counters.misses += 1
         GLOBAL_COUNTERS.misses += 1
-
-
-# -- alone-IPC compatibility view -------------------------------------------
-
-
-class AloneIpcDiskCache:
-    """The historical alone-IPC cache API as a view over the store.
-
-    ``key()`` computes the *same* content address a spec-run alone cell
-    lands under, so figure runs and compatibility users share entries:
-    a full summary written by the grid satisfies a ``get`` here, and a
-    scalar ``put`` satisfies the runner's hit test.  Pre-v4 state
-    (the single ``alone_ipc.json`` table) is simply never read --
-    that file is not a store entry, so v3 keys cannot surface as hits.
-    """
-
-    def __init__(self, directory: Optional[str] = None) -> None:
-        self.store = ResultStore(directory)
-        self.directory = self.store.root
-
-    @staticmethod
-    def key(config: SystemConfig, benchmark: str, fragmentation: float,
-            seed: int, accesses: int, clock_hz: float) -> str:
-        """Content address of one alone run (see :func:`store_key`).
-
-        The historical signature carried only the core *clock*; the
-        remaining core parameters default, matching every caller.
-        """
-        return store_key(config, benchmark=benchmark,
-                         fragmentation=fragmentation, seed=seed,
-                         accesses=accesses,
-                         core_config=CoreConfig(clock_hz=clock_hz))
-
-    def path_for(self, key: str) -> str:
-        """Entry file backing one key (tests poke it directly)."""
-        return self.store.path_for(key)
-
-    def get(self, key: str) -> Optional[float]:
-        return self.store.get_scalar(key)
-
-    def put_many(self, entries: Dict[str, float]) -> None:
-        for key, value in entries.items():
-            self.store.put_scalar(key, value)
-
-    def put(self, key: str, value: float) -> None:
-        self.put_many({key: value})

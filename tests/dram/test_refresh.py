@@ -264,21 +264,19 @@ class TestSystemRefresh:
 
     @pytest.mark.parametrize("policy", REFRESH_POLICIES)
     def test_backends_agree_with_refresh_on(self, policy):
-        from repro.sim.shards import ShardedSimulator
+        """The reference and incremental schedulers agree with refresh
+        arbitration in the loop."""
         config = refresh_config(policy=policy, density="16Gb")
         traces = mixed_traffic(cores=3, n=150)
 
-        def run(sharded):
-            system = MemorySystem(config)
+        def run(incremental):
+            system = MemorySystem(replace(config,
+                                          incremental=incremental))
             cores = [TraceCore(t, core_id=i)
                      for i, t in enumerate(traces)]
-            if sharded is None:
-                return Simulator(system, cores).run().digest()
-            return ShardedSimulator(system, cores,
-                                    backend=sharded).run().digest()
+            return Simulator(system, cores).run().digest()
 
-        digests = {run(None), run("serial"), run("threads")}
-        assert len(digests) == 1
+        assert run(False) == run(True)
 
     def test_bucket_sum_invariant_over_all_presets(self):
         """Every refresh-capable preset, refresh on: buckets still sum

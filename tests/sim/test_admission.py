@@ -1,4 +1,5 @@
-"""Wake-on-room admission parking and the bounded route cache."""
+"""Wake-on-room admission parking, the command budget, and the bounded
+route cache."""
 
 from dataclasses import replace
 
@@ -7,7 +8,12 @@ import pytest
 from repro.controller.queue import QueueConfig
 from repro.cpu.core import CoreConfig, TraceCore
 from repro.sim import config as cfgs
-from repro.sim.simulator import DeadlockError, MemorySystem, Simulator
+from repro.sim.simulator import (
+    CommandBudgetExceeded,
+    DeadlockError,
+    MemorySystem,
+    Simulator,
+)
 from repro.workloads.mixes import mix_traces
 
 
@@ -83,6 +89,14 @@ class TestWakeOnRoomDeterminism:
         sim._commit = commit_without_wakes
         with pytest.raises(DeadlockError, match="parked"):
             sim.run()
+
+
+class TestCommandBudget:
+    def test_budget_enforced(self):
+        sim = _build(cfgs.ddr4_baseline(), park_admission=True,
+                     accesses=200)
+        with pytest.raises(CommandBudgetExceeded, match="50 commands"):
+            sim.run(max_commands=50)
 
 
 class TestRouteCacheBound:

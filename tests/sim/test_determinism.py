@@ -3,7 +3,7 @@
 The whole experiment pipeline is deterministic given (config, workload,
 seed): identical digests across independent runs, identical results
 whether a grid executes serially or across worker processes, and a
-persistent alone-IPC cache that returns exactly what was computed.
+result store that returns exactly what was computed.
 """
 
 import json
@@ -11,8 +11,9 @@ import json
 from repro.cpu.core import CoreConfig
 from repro.sim import config as cfgs
 from repro.sim.experiments import ExperimentContext, ExperimentSettings
-from repro.sim.parallel import AloneIpcDiskCache, SimJob, run_grid
+from repro.sim.parallel import SimJob, run_grid
 from repro.sim.simulator import run_traces
+from repro.sim.store import ResultStore, store_key
 from repro.workloads.mixes import mix_traces
 
 
@@ -49,6 +50,13 @@ def test_grid_results_identical_serial_vs_parallel():
         ["DDR4", "DDR4", "VSB(EWLR+RAP,4P)+DDB", "VSB(EWLR+RAP,4P)+DDB"]
 
 
+def _alone_key(config, benchmark="mcf"):
+    """Store key of a 250-access alone run, as ExperimentContext
+    computes it."""
+    return store_key(config, benchmark=benchmark, fragmentation=0.1,
+                     seed=0, accesses=250, core_config=CoreConfig())
+
+
 def test_alone_runs_through_grid_match_inline(tmp_path, monkeypatch):
     """A benchmark alone-run gives the same IPC via any execution path."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -61,42 +69,12 @@ def test_alone_runs_through_grid_match_inline(tmp_path, monkeypatch):
     assert gridded.ipcs[0] == inline.alone_ipc("mcf")
 
 
-def test_disk_cache_round_trip(tmp_path):
-    cache = AloneIpcDiskCache(str(tmp_path / "cache"))
-    key = AloneIpcDiskCache.key(cfgs.ddr4_baseline(), "mcf", 0.1,
-                                0, 250, 4e9)
-    assert cache.get(key) is None
-    cache.put(key, 1.234)
-    # A fresh instance reads what the first one persisted.
-    fresh = AloneIpcDiskCache(str(tmp_path / "cache"))
-    assert fresh.get(key) == 1.234
-    # Merge-on-write keeps entries from concurrent writers.
-    other = AloneIpcDiskCache(str(tmp_path / "cache"))
-    other.put(AloneIpcDiskCache.key(cfgs.ddr4_baseline(), "lbm",
-                                    0.1, 0, 250, 4e9), 2.5)
-    assert AloneIpcDiskCache(str(tmp_path / "cache")).get(key) == 1.234
-
-
-def test_disk_cache_survives_corruption(tmp_path):
-    cache = AloneIpcDiskCache(str(tmp_path))
-    cache.put("k", 1.0)
-    # Corrupt the entry in place: it must read as a miss, and a re-put
-    # must repair it.
-    with open(cache.path_for("k"), "w") as fh:
-        fh.write("{not json")
-    assert cache.get("k") is None
-    cache.put("k", 1.0)
-    assert AloneIpcDiskCache(str(tmp_path)).get("k") == 1.0
-
-
 def test_context_alone_ipc_uses_disk_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     settings = ExperimentSettings(accesses_per_core=250, mixes=("mix0",))
     first = ExperimentContext(settings)
     value = first.alone_ipc("mcf")
-    key = AloneIpcDiskCache.key(cfgs.ddr4_baseline(), "mcf", 0.1, 0,
-                                250, CoreConfig().clock_hz)
-    path = first.store.path_for(key)
+    path = first.store.path_for(_alone_key(cfgs.ddr4_baseline()))
     with open(path) as fh:
         entry = json.load(fh)
     assert entry["result"]["ipcs"][0] == value
@@ -131,15 +109,12 @@ def test_cache_key_includes_full_config_digest(tmp_path, monkeypatch):
     base = cfgs.ddr4_baseline()
     refreshed = replace(base, refresh_density="8Gb",
                         refresh_policy="darp")
-    plain = AloneIpcDiskCache.key(base, "mcf", 0.1, 0, 250, 4e9)
-    with_refresh = AloneIpcDiskCache.key(refreshed, "mcf", 0.1, 0,
-                                         250, 4e9)
-    assert plain != with_refresh
+    plain = _alone_key(base)
+    assert plain != _alone_key(refreshed)
     # Host-side knobs and the cosmetic name must NOT split the key.
     renamed = replace(base, name="renamed", record_commands=True,
-                      shards="serial")
-    assert AloneIpcDiskCache.key(renamed, "mcf", 0.1, 0, 250,
-                                 4e9) == plain
+                      incremental=False)
+    assert _alone_key(renamed) == plain
 
     # End to end: a refresh-enabled alone baseline recomputes instead
     # of reusing the refresh-free context's persisted entry.
@@ -152,14 +127,15 @@ def test_cache_key_includes_full_config_digest(tmp_path, monkeypatch):
 
 
 def test_disk_cache_two_writers_freshest_wins(tmp_path):
-    """Regression (stale overlay in put_many): a writer holding an old
-    in-memory snapshot must not shadow a value another process
-    persisted after that snapshot was taken."""
-    stale = AloneIpcDiskCache(str(tmp_path))
-    stale.put("shared", 1.0)       # snapshot now holds shared=1.0
-    other = AloneIpcDiskCache(str(tmp_path))
-    other.put("shared", 2.0)       # a second writer updates the file
-    stale.put("unrelated", 3.0)    # must merge, not resurrect 1.0
-    fresh = AloneIpcDiskCache(str(tmp_path))
-    assert fresh.get("shared") == 2.0
-    assert fresh.get("unrelated") == 3.0
+    """Regression (stale overlay in put_many): a writer that wrote
+    earlier must not shadow a value another writer persisted later."""
+    shared = _alone_key(cfgs.ddr4_baseline())
+    unrelated = _alone_key(cfgs.ddr4_baseline(), benchmark="lbm")
+    stale = ResultStore(str(tmp_path))
+    stale.put_scalar(shared, 1.0)
+    other = ResultStore(str(tmp_path))
+    other.put_scalar(shared, 2.0)      # a second writer updates it
+    stale.put_scalar(unrelated, 3.0)   # must not resurrect 1.0
+    fresh = ResultStore(str(tmp_path))
+    assert fresh.get_scalar(shared) == 2.0
+    assert fresh.get_scalar(unrelated) == 3.0

@@ -8,6 +8,9 @@ direction, and grids that do go parallel share one warm executor across
 calls instead of re-forking per figure.
 """
 
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 import repro.sim.parallel as parallel
@@ -20,6 +23,11 @@ from repro.sim.parallel import (
     run_grid,
     trace_memo_stats,
 )
+
+
+def _exit_in_worker(job):
+    """Grid job that kills the pool worker running it."""
+    os._exit(1)
 
 
 def _job(accesses=50, mix="mix0", benchmark=None, seed=0):
@@ -95,9 +103,10 @@ class TestWarmPool:
         assert a is b
 
     def test_pool_refreshed_when_defaults_change(self, monkeypatch):
-        import repro.sim.shards as shards_mod
+        import repro.controller.scheduler as scheduler_mod
         a = parallel._warm_executor(2)
-        monkeypatch.setattr(shards_mod, "SHARDS_DEFAULT", "off")
+        monkeypatch.setattr(scheduler_mod, "INCREMENTAL_DEFAULT",
+                            not scheduler_mod.INCREMENTAL_DEFAULT)
         b = parallel._warm_executor(2)
         assert a is not b
 
@@ -105,6 +114,20 @@ class TestWarmPool:
         a = parallel._warm_executor(2)
         b = parallel._warm_executor(3)
         assert a is not b
+
+    def test_broken_pool_replaced_after_worker_death(self, monkeypatch):
+        # A worker that dies breaks the pool; the next grid must run on
+        # a fresh pool instead of failing at once on the cached one.
+        monkeypatch.setenv("REPRO_GRID_MIN_COST", "0")
+        jobs = [_job(accesses=20, seed=s) for s in range(2)]
+        with monkeypatch.context() as patch:
+            patch.setattr(parallel, "_run_job", _exit_in_worker)
+            with pytest.raises(BrokenProcessPool):
+                run_grid(jobs, workers=2)
+        assert parallel._warm_pool is None
+        results = run_grid(jobs, workers=2)
+        assert [r.digest() for r in results] == \
+            [r.digest() for r in run_grid(jobs, workers=1)]
 
 
 class TestTraceMemo:

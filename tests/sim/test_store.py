@@ -17,12 +17,7 @@ from repro.cpu.core import CoreConfig
 from repro.sim import config as cfgs
 from repro.sim.accounting import ObserveOptions
 from repro.sim.simulator import run_traces
-from repro.sim.store import (
-    CACHE_VERSION,
-    AloneIpcDiskCache,
-    ResultStore,
-    store_key,
-)
+from repro.sim.store import CACHE_VERSION, ResultStore, store_key
 from repro.workloads.mixes import mix_traces
 
 
@@ -117,36 +112,39 @@ def test_two_process_writers_both_persist(tmp_path):
 def test_v3_alone_ipc_table_is_ignored_not_misread(tmp_path):
     """Regression for the v3 -> v4 migration: the old single-file
     alone-IPC table must never surface as a store hit."""
-    key = AloneIpcDiskCache.key(cfgs.ddr4_baseline(), "mcf", 0.1, 0,
-                                250, 4e9)
+    key = store_key(cfgs.ddr4_baseline(), benchmark="mcf",
+                    fragmentation=0.1, seed=0, accesses=250,
+                    core_config=CoreConfig())
     # The pre-v4 layout: one JSON table of {key: ipc} at the root.
     with open(tmp_path / "alone_ipc.json", "w") as fh:
         json.dump({"version": 3, "entries": {key: 99.0}}, fh)
-    cache = AloneIpcDiskCache(str(tmp_path))
-    assert cache.get(key) is None
-    # Even a hand-placed *entry file* from another version reads as a
-    # miss (the version is checked inside the payload as well).
     store = ResultStore(str(tmp_path))
+    assert store.get_scalar(key) is None
+    # Even a hand-placed *entry file* -- from another version, or not
+    # JSON at all -- reads as a miss (the version is checked inside
+    # the payload as well), and a fresh put repairs it in place.
     path = store.path_for(key)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump({"version": 3, "result": {"ipcs": [99.0]}}, fh)
-    assert cache.get(key) is None
-    assert store.get(key) is None
-    # A fresh put repairs the entry in place.
-    cache.put(key, 1.5)
-    assert AloneIpcDiskCache(str(tmp_path)).get(key) == 1.5
+    for stale in (json.dumps({"version": 3, "result": {"ipcs": [99.0]}}),
+                  "{not json"):
+        with open(path, "w") as fh:
+            fh.write(stale)
+        assert store.get_scalar(key) is None
+        assert store.get(key) is None
+        store.put_scalar(key, 1.5)
+        assert ResultStore(str(tmp_path)).get_scalar(key) == 1.5
 
 
 def test_scalar_and_full_entries_share_one_read_path(tmp_path):
-    """A full grid-run summary satisfies an alone-IPC ``get`` and vice
-    versa: both read ``ipcs[0]`` of the same entry."""
+    """A full grid-run summary satisfies an alone-IPC ``get_scalar``
+    and a scalar ``put_scalar`` round-trips through a fresh store: both
+    read ``ipcs[0]`` of the same entry."""
     store = ResultStore(str(tmp_path))
     live = _small_result()
     store.put(_key(), live)
-    view = AloneIpcDiskCache(str(tmp_path))
-    assert view.get(_key()) == live.ipcs[0]
-    view.put(_key(seed=5), 2.75)
+    assert store.get_scalar(_key()) == live.ipcs[0]
+    assert store.get_scalar(_key(seed=5)) is None
+    store.put_scalar(_key(seed=5), 2.75)
     assert ResultStore(str(tmp_path)).get_scalar(_key(seed=5)) == 2.75
 
 

@@ -69,6 +69,32 @@ def test_alone_runs_through_grid_match_inline(tmp_path, monkeypatch):
     assert gridded.ipcs[0] == inline.alone_ipc("mcf")
 
 
+def test_disk_cache_round_trip(tmp_path):
+    key = _alone_key(cfgs.ddr4_baseline())
+    store = ResultStore(str(tmp_path / "cache"))
+    assert store.get_scalar(key) is None
+    store.put_scalar(key, 1.234)
+    # A fresh instance reads what the first one persisted.
+    assert ResultStore(str(tmp_path / "cache")).get_scalar(key) == 1.234
+    # A second writer's entry does not displace the first.
+    other = ResultStore(str(tmp_path / "cache"))
+    other.put_scalar(_alone_key(cfgs.ddr4_baseline(), benchmark="lbm"), 2.5)
+    assert ResultStore(str(tmp_path / "cache")).get_scalar(key) == 1.234
+
+
+def test_disk_cache_survives_corruption(tmp_path):
+    key = _alone_key(cfgs.ddr4_baseline())
+    store = ResultStore(str(tmp_path))
+    store.put_scalar(key, 1.0)
+    # Corrupt the entry in place: it must read as a miss, and a re-put
+    # must repair it.
+    with open(store.path_for(key), "w") as fh:
+        fh.write("{not json")
+    assert store.get_scalar(key) is None
+    store.put_scalar(key, 1.0)
+    assert ResultStore(str(tmp_path)).get_scalar(key) == 1.0
+
+
 def test_context_alone_ipc_uses_disk_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     settings = ExperimentSettings(accesses_per_core=250, mixes=("mix0",))

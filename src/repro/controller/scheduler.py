@@ -265,15 +265,16 @@ class RefreshScheduler:
       refreshes (half a ``tRFCpb`` -- half the rows) while its partner
       keeps serving hits through ERUCA's partial-precharge machinery.
 
-    Backend safety: refresh candidates exist only while the demand
+    Path safety: refresh candidates exist only while the demand
     queues are non-empty, and the demand-vs-refresh decision compares
     ``demand.issue_time`` (already ``max(now, ...)``-clamped the same
-    way in every backend) against channel-state constants (``ref_due``
-    and offsets of it) -- never raw ``now`` -- so all four execution
-    backends pick identical winners.  While the queues are empty the
-    controller settles owed refreshes in one idle catch-up at the next
-    admission (:meth:`catch_up`), which keeps run termination trivially
-    intact: a drained simulation proposes no further events.
+    way on both selection paths) against channel-state constants
+    (``ref_due`` and offsets of it) -- never raw ``now`` -- so the
+    reference and incremental paths pick identical winners.  While the
+    queues are empty the controller settles owed refreshes in one idle
+    catch-up at the next admission (:meth:`catch_up`), which keeps run
+    termination trivially intact: a drained simulation proposes no
+    further events.
     """
 
     def __init__(self, channel: Channel, queues: TransactionQueues,
@@ -302,26 +303,25 @@ class RefreshScheduler:
         #: Scopes still owed a refresh this round, deadline order.
         self.rotation = list(scopes)
         channel.resources.init_refresh_schedule(self.period)
-        #: Memoised (bank, sub-bank) pairs with schedulable demand;
-        #: ``None`` = stale (queue membership changed since computed).
+        #: Memoised scopes with schedulable demand: every busy
+        #: (bank, sub-bank) pair plus its (bank, -1) whole-bank scope,
+        #: so one set lookup answers "is this scope idle?" for either
+        #: granularity.  ``None`` = stale (queue membership changed
+        #: since computed).
         self._busy: Optional[Set[Tuple[int, int]]] = None
 
     # -- internals ---------------------------------------------------------
 
-    def _busy_pairs(self) -> Set[Tuple[int, int]]:
+    def _busy_scopes(self) -> Set[Tuple[int, int]]:
         busy = self._busy
         if busy is None:
-            busy = {(txn.bank_index, txn.coords.subbank)
-                    for txn in self.queues.schedulable()}
+            busy = set()
+            for txn in self.queues.schedulable():
+                bank_index = txn.bank_index
+                busy.add((bank_index, txn.coords.subbank))
+                busy.add((bank_index, -1))
             self._busy = busy
         return busy
-
-    def _scope_idle(self, scope: Tuple[int, int],
-                    busy: Set[Tuple[int, int]]) -> bool:
-        bank_index, subbank = scope
-        if subbank >= 0:
-            return (bank_index, subbank) not in busy
-        return not any(b == bank_index for b, _ in busy)
 
     def _chain(self, now: int, scope: Tuple[int, int],
                clamp: int) -> Candidate:
@@ -356,15 +356,20 @@ class RefreshScheduler:
 
     def _opportunistic(self, now: int) -> Optional[Candidate]:
         """DARP/SARP pull-in: refresh the oldest-owed scope that has no
-        pending demand and no open rows (no closes ever race demand)."""
-        busy = self._busy_pairs()
+        pending demand and no open rows (no closes ever race demand).
+
+        Both tests per scope are O(1): a lookup in the memoised busy
+        set, and the channel's per-bank open-slot count (index -1 of
+        ``open_counts[bank]`` counts the whole bank)."""
+        busy = self._busy_scopes()
         channel = self.channel
+        open_counts = channel.open_counts
         clamp = channel.resources.ref_due - self.defer_slack
         for scope in self.rotation:
-            if not self._scope_idle(scope, busy):
+            if scope in busy:
                 continue
             bank_index, subbank = scope
-            if channel.refresh_scope_open(bank_index, subbank):
+            if open_counts[bank_index][subbank]:
                 continue
             t = channel.earliest_refresh(bank_index, subbank)
             if t < clamp:
@@ -390,11 +395,16 @@ class RefreshScheduler:
             if demand is not None and demand.issue_time < due:
                 return demand
             return self._chain(now, self.rotation[0], due)
-        forced_at = due + self.defer_slack
-        if demand is None or demand.issue_time >= forced_at:
+        slack = self.defer_slack
+        if demand is None or demand.issue_time >= due + slack:
             # Out of slack: the oldest owed scope refreshes now, closing
             # rows over demand if it must.
-            return self._chain(now, self.rotation[0], due - self.defer_slack)
+            return self._chain(now, self.rotation[0], due - slack)
+        if demand.issue_time < due - slack:
+            # Every pull-in candidate is clamped to at least the
+            # pull-in bound, so demand already wins on time: skip the
+            # rotation scan (exact, not a heuristic).
+            return demand
         cand = self._opportunistic(now)
         if cand is not None and (cand.issue_time, cand.priority) < \
                 (demand.issue_time, demand.priority):

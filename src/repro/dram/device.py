@@ -57,6 +57,12 @@ class Channel:
         #: A dict (insertion-ordered, values unused) so the scan order is
         #: reproducible -- set iteration order would depend on hashes.
         self.open_slots: dict = {}
+        #: Open-slot counts per bank, kept in step with
+        #: :attr:`open_slots`: ``open_counts[bank][s]`` counts sub-bank
+        #: ``s`` and the last entry (index -1) the whole bank, so a
+        #: refresh scope ``(bank, subbank)`` reads its count directly.
+        self.open_counts: List[List[int]] = [
+            [0] * (bank_geometry.subbanks + 1) for _ in range(n_banks)]
         #: Optional command log for post-hoc validation
         #: (:mod:`repro.dram.validation`).
         self.command_log: Optional[list] = [] if record_commands else None
@@ -132,7 +138,10 @@ class Channel:
 
         ``bank_index < 0`` scopes the whole rank (all-bank REF);
         ``subbank >= 0`` narrows a bank to one sub-bank (SARP).  A
-        refresh may only issue once this list is empty.
+        refresh may only issue once this list is empty.  The list is in
+        bank/slot order, which decides which row a refresh chain closes
+        first.  :attr:`open_counts` (or ``open_slots`` for the rank)
+        answers emptiness in O(1).
         """
         out = []
         indices = (range(len(self.banks)) if bank_index < 0
@@ -196,38 +205,41 @@ class Channel:
     # command is issued (they read pre-issue state) and exist only for
     # observability -- the scheduler never calls them.
 
-    def _refresh_floors(self, bank_index: int, subbank: int) -> list:
-        """The (possibly empty) refresh-blackout floor for one slot."""
+    def _add_bank_floors(self, floors: list, bank_index: int,
+                         subbank: int, bank_floor: int) -> list:
+        """Append the slot's bank floor and, with refresh on, its
+        refresh-blackout floor to a fresh resource-floor list."""
+        floors.append((FLOOR_BANK, bank_floor))
         ru = self.resources.ref_until
-        if ru is None:
-            return []
-        return [(FLOOR_REFRESH, ru[bank_index][subbank])]
+        if ru is not None:
+            floors.append((FLOOR_REFRESH, ru[bank_index][subbank]))
+        return floors
 
     def explain_act(self, coords: DramCoordinates) -> list:
         """Tagged floors of :meth:`earliest_act` for these coordinates."""
-        bank = self.bank(coords)
-        return self.resources.act_floors() + [
-            (FLOOR_BANK, bank.earliest_act(coords.subbank, coords.row))
-        ] + self._refresh_floors(self.bank_index(coords), coords.subbank)
+        bank_index = self.bank_index(coords)
+        return self._add_bank_floors(
+            self.resources.act_floors(), bank_index, coords.subbank,
+            self.banks[bank_index].earliest_act(coords.subbank,
+                                                coords.row))
 
     def explain_column(self, coords: DramCoordinates,
                        is_write: bool) -> list:
         """Tagged floors of :meth:`earliest_column`."""
-        bank = self.bank(coords)
         bank_index = self.bank_index(coords)
-        return self.resources.column_floors(
-            is_write, coords.bank_group, bank_index) + [
-            (FLOOR_BANK,
-             bank.earliest_column(coords.subbank, coords.row, is_write))
-        ] + self._refresh_floors(bank_index, coords.subbank)
+        return self._add_bank_floors(
+            self.resources.column_floors(
+                is_write, coords.bank_group, bank_index),
+            bank_index, coords.subbank,
+            self.banks[bank_index].earliest_column(
+                coords.subbank, coords.row, is_write))
 
     def explain_precharge(self, bank_index: int, slot: SlotKey,
                           cancel: bool = False) -> list:
         """Tagged floors of :meth:`earliest_precharge`."""
-        return self.resources.precharge_floors() + [
-            (FLOOR_BANK,
-             self.banks[bank_index].earliest_precharge(slot, cancel))
-        ] + self._refresh_floors(bank_index, slot[0])
+        return self._add_bank_floors(
+            self.resources.precharge_floors(), bank_index, slot[0],
+            self.banks[bank_index].earliest_precharge(slot, cancel))
 
     # -- committed issues --------------------------------------------------
 
@@ -242,6 +254,9 @@ class Channel:
         bank_index = self.bank_index(coords)
         slot = bank.slot_key(coords.subbank, coords.row)
         self.open_slots[(bank_index, slot)] = None
+        counts = self.open_counts[bank_index]
+        counts[coords.subbank] += 1
+        counts[-1] += 1
         if self.command_log is not None:
             from repro.dram.validation import CommandRecord
             self.command_log.append(CommandRecord(
@@ -284,6 +299,9 @@ class Channel:
         self.energy.record_precharge(partial=partial)
         self.precharge_causes[cause] += 1
         self.open_slots.pop((bank_index, slot), None)
+        counts = self.open_counts[bank_index]
+        counts[slot[0]] -= 1
+        counts[-1] -= 1
         if self.command_log is not None:
             from repro.dram.validation import CommandRecord
             self.command_log.append(CommandRecord(
@@ -299,10 +317,11 @@ class Channel:
         close them first, counting those precharges under
         :attr:`~repro.dram.commands.PrechargeCause.REFRESH`).
         """
-        still_open = self.refresh_scope_open(bank_index, subbank)
-        if still_open:
+        if (len(self.open_slots) if bank_index < 0
+                else self.open_counts[bank_index][subbank]):
             raise ValueError(
-                f"refresh at {time} with open rows in scope: {still_open}")
+                f"refresh at {time} with open rows in scope: "
+                f"{self.refresh_scope_open(bank_index, subbank)}")
         duration = self.refresh_duration(bank_index, subbank)
         end = self.resources.record_refresh(
             time, duration, bank_index, subbank)

@@ -84,7 +84,15 @@ from repro.sim.tracing import TraceEvent, TraceSink
 
 
 class StallBucket(enum.Enum):
-    """Where one channel cycle went (see the module docstring)."""
+    """Where one channel cycle went (see the module docstring).
+
+    Hashed by identity: ``Enum.__hash__`` is a Python-level function,
+    and the accounting indexes its bucket dicts several times per
+    command.  Members are singletons, so identity hashing is exact; no
+    output iterates a set of buckets (only insertion-ordered dicts).
+    """
+
+    __hash__ = object.__hash__
 
     ISSUE = "issue"
     QUEUE_EMPTY = "queue_empty"
@@ -101,6 +109,20 @@ class StallBucket(enum.Enum):
     TFAW = "tfaw"
     BUS = "bus"
 
+
+#: Enum members the per-command paths compare against, bound once:
+#: on CPython 3.11 ``Enum.MEMBER`` resolves through the enum metaclass
+#: at roughly ten times the cost of a module-global load.
+_ACT, _RD, _WR, _PRE = (CommandKind.ACT, CommandKind.RD, CommandKind.WR,
+                        CommandKind.PRE)
+_REF, _REFPB = CommandKind.REF, CommandKind.REFPB
+_BY_REFRESH = PrechargeCause.REFRESH
+_BY_PLANE = PrechargeCause.PLANE_CONFLICT
+_BY_ROW = PrechargeCause.ROW_CONFLICT
+_BY_POLICY = PrechargeCause.POLICY
+_ISSUE = StallBucket.ISSUE
+_REQUEST_GAP = StallBucket.REQUEST_GAP
+_DDB_WINDOW = StallBucket.DDB_WINDOW
 
 #: Floor-tag (from :mod:`repro.dram.resources` / ``Channel.explain_*``)
 #: to bucket mapping.
@@ -129,6 +151,11 @@ _FLOOR_PRIORITY = {
 }
 
 
+#: Floor tag to (bucket, tie-break priority), one lookup per floor.
+_FLOOR_RANKS = {tag: (bucket, _FLOOR_PRIORITY[bucket])
+                for tag, bucket in _FLOOR_BUCKETS.items()}
+
+
 def binding_floor(floors: List[Tuple[str, int]]
                   ) -> Tuple[StallBucket, int]:
     """The constraint that released last (ties: most specific wins).
@@ -136,14 +163,19 @@ def binding_floor(floors: List[Tuple[str, int]]
     ``floors`` is the ``Channel.explain_*`` decomposition: (tag, time)
     pairs whose max equals the command's earliest legal issue time.
     """
-    best_bucket, best_time = StallBucket.BUS, None
+    if not floors:
+        return StallBucket.BUS, 0
+    ranks = _FLOOR_RANKS
+    best_time = None
     for tag, time in floors:
-        bucket = _FLOOR_BUCKETS[tag]
-        if (best_time is None or time > best_time
-                or (time == best_time and _FLOOR_PRIORITY[bucket]
-                    < _FLOOR_PRIORITY[best_bucket])):
-            best_bucket, best_time = bucket, time
-    return best_bucket, best_time if best_time is not None else 0
+        if best_time is None or time > best_time:
+            best_bucket, best_prio = ranks[tag]
+            best_time = time
+        elif time == best_time:
+            bucket, prio = ranks[tag]
+            if prio < best_prio:
+                best_bucket, best_prio = bucket, prio
+    return best_bucket, best_time
 
 
 @dataclass
@@ -301,61 +333,61 @@ class ChannelAccounting:
                 f"{self.cursor} (commands must be >= tCK apart)")
         stall_start = self._queue_empty_prefix(time)
         wait = time - stall_start
-        bucket = StallBucket.ISSUE
+        buckets = self.buckets
+        bucket = _ISSUE
         stats = self.bank_stats(bank, subbank)
         if wait > 0:
-            if (kind is CommandKind.REF or kind is CommandKind.REFPB
-                    or cause is PrechargeCause.REFRESH):
+            if kind is _REF or kind is _REFPB or cause is _BY_REFRESH:
                 # Refresh work: the REF/REFpb itself or a close forced
                 # so the scope could refresh.
                 bucket = StallBucket.REFRESH
-                self.buckets[bucket] += wait
-            elif cause is PrechargeCause.PLANE_CONFLICT:
+                buckets[bucket] += wait
+            elif cause is _BY_PLANE:
                 bucket = (StallBucket.EWLR_MISS if self.ewlr
                           else StallBucket.PLANE_CONFLICT)
-                self.buckets[bucket] += wait
-            elif cause is PrechargeCause.ROW_CONFLICT:
+                buckets[bucket] += wait
+            elif cause is _BY_ROW:
                 bucket = StallBucket.ROW_CONFLICT
-                self.buckets[bucket] += wait
-            elif cause is PrechargeCause.POLICY:
+                buckets[bucket] += wait
+            elif cause is _BY_POLICY:
                 bucket = StallBucket.POLICY_CLOSE
-                self.buckets[bucket] += wait
+                buckets[bucket] += wait
             else:
-                bucket, released = binding_floor(floors or [])
+                bucket, released = binding_floor(floors)
                 device_end = min(max(released, stall_start), time)
-                self.buckets[bucket] += device_end - stall_start
-                self.buckets[StallBucket.REQUEST_GAP] += time - device_end
+                buckets[bucket] += device_end - stall_start
+                buckets[_REQUEST_GAP] += time - device_end
                 if device_end == stall_start:
-                    bucket = StallBucket.REQUEST_GAP
+                    bucket = _REQUEST_GAP
             stats.stall_ps += wait
-            if bucket is StallBucket.DDB_WINDOW:
+            if bucket is _DDB_WINDOW:
                 stats.ddb_window_stalls += 1
         # The command itself: one bus clock on the command bus.
-        self.buckets[StallBucket.ISSUE] += self.tCK
+        buckets[_ISSUE] += self.tCK
         self.cursor = time + self.tCK
         self.commands += 1
         # Per-bank command counters.
-        if kind is CommandKind.ACT:
+        if kind is _ACT:
             stats.acts += 1
             if ewlr_hit:
                 stats.ewlr_hits += 1
-        elif kind is CommandKind.RD:
+        elif kind is _RD:
             stats.reads += 1
-        elif kind is CommandKind.WR:
+        elif kind is _WR:
             stats.writes += 1
-        elif kind is CommandKind.REF or kind is CommandKind.REFPB:
+        elif kind is _REF or kind is _REFPB:
             stats.refreshes += 1
         else:
             stats.precharges += 1
             if partial:
                 stats.partial_precharges += 1
-            if cause is PrechargeCause.PLANE_CONFLICT:
+            if cause is _BY_PLANE:
                 stats.plane_conflict_precharges += 1
-            elif cause is PrechargeCause.ROW_CONFLICT:
+            elif cause is _BY_ROW:
                 stats.row_conflict_precharges += 1
-            elif cause is PrechargeCause.POLICY:
+            elif cause is _BY_POLICY:
                 stats.policy_precharges += 1
-            elif cause is PrechargeCause.REFRESH:
+            elif cause is _BY_REFRESH:
                 stats.refresh_precharges += 1
         # Queue-occupancy bookkeeping for the next gap.
         if queue_empty_after:
@@ -524,9 +556,10 @@ class AccountingReport:
 class ObserveOptions:
     """What to observe during a run (``None`` observer = observe nothing).
 
-    ``accounting`` is essentially free (a handful of integer adds per
-    command); ``trace`` stores one event per command, so cap it with
-    ``trace_limit`` on long runs.
+    ``accounting`` costs one floor decomposition and a handful of
+    integer adds per command -- not free: docs/OBSERVABILITY.md gives
+    its measured share of a refresh sweep.  ``trace`` stores one event
+    per command, so cap it with ``trace_limit`` on long runs.
     """
 
     accounting: bool = True
@@ -545,8 +578,11 @@ class CommandObserver:
     (the explain API reads pre-issue state) and :meth:`on_command`
     after, plus :meth:`note_nonempty` when a transaction is admitted
     into an empty queue.  All cost lives behind the controller's single
-    ``observer is not None`` check, keeping the unobserved path within
-    the <2% budget of ``bench_simspeed``.
+    ``observer is not None`` check, so an unobserved run pays one
+    ``is None`` test per event.  No budget is enforced on the observed
+    cost; docs/OBSERVABILITY.md gives its measured share.  Fields only
+    the event trace needs (slot group, row, core) are computed only
+    when a sink is attached.
     """
 
     def __init__(self, channel_index: int, channel,
@@ -563,11 +599,11 @@ class CommandObserver:
     def floors_for(self, candidate) -> Optional[List[Tuple[str, int]]]:
         """Pre-issue floor decomposition of a scheduler candidate."""
         kind = candidate.kind
-        if kind is CommandKind.ACT:
+        if kind is _ACT:
             return self.channel.explain_act(candidate.txn.coords)
-        if kind in (CommandKind.RD, CommandKind.WR):
+        if kind is _RD or kind is _WR:
             return self.channel.explain_column(
-                candidate.txn.coords, kind is CommandKind.WR)
+                candidate.txn.coords, kind is _WR)
         # Precharges are attributed by cause, REF/REFpb wholesale to
         # the refresh bucket -- neither needs a floor decomposition.
         return None
@@ -576,38 +612,39 @@ class CommandObserver:
                    partial: bool, queue_empty_after: bool) -> None:
         """Account (and optionally trace) one committed command."""
         kind = candidate.kind
-        if kind is CommandKind.PRE:
+        txn = candidate.txn
+        by_victim = kind is _PRE or kind is _REF or kind is _REFPB
+        if by_victim:
+            # The victim names the closed slot, or for refresh the
+            # scope: (-1, (-1, -1)) all-bank, (b, (-1, -1)) per-bank,
+            # (b, (s, -1)) per-sub-bank.
             bank, slot = candidate.victim
-            subbank, group = slot
-            row, core = -1, -1
+            subbank = slot[0]
+        else:
+            bank, subbank = txn.bank_index, txn.coords.subbank
+        bucket, wait = self.accounting.on_command(
+            candidate.issue_time, kind, candidate.cause,
+            bank, subbank, floors, ewlr_hit, partial, queue_empty_after)
+        if self.sink is None:
+            return
+        # Trace-only fields.
+        if by_victim:
+            group, row, core = slot[1], -1, -1
             if partial:
                 kind = CommandKind.PRE_PARTIAL
-        elif kind is CommandKind.REF or kind is CommandKind.REFPB:
-            # Refresh candidates serve no transaction; the victim slot
-            # encodes the scope: (-1, (-1, -1)) all-bank, (b, (-1, -1))
-            # per-bank, (b, (s, -1)) per-sub-bank.
-            bank, slot = candidate.victim
-            subbank, group = slot[0], -1
-            row, core = -1, -1
         else:
-            c = candidate.txn.coords
-            bank = self.channel.bank_index(c)
-            subbank, group = c.subbank, self.channel.banks[
-                bank].geometry.group_of(c.row)
-            row = c.row if kind is CommandKind.ACT else -1
-            core = candidate.txn.core
-        bucket, wait = self.accounting.on_command(
-            candidate.issue_time, candidate.kind, candidate.cause,
-            bank, subbank, floors, ewlr_hit, partial, queue_empty_after)
-        if self.sink is not None:
-            self.sink.record(TraceEvent(
-                time_ps=candidate.issue_time,
-                channel=self.accounting.channel_index,
-                bank=bank, subbank=subbank, group=group,
-                kind=kind.name,
-                cause=candidate.cause.value if candidate.cause else "",
-                row=row, core=core,
-                stall=bucket.value, wait_ps=wait))
+            c = txn.coords
+            group = self.channel.banks[bank].geometry.group_of(c.row)
+            row = c.row if kind is _ACT else -1
+            core = txn.core
+        self.sink.record(TraceEvent(
+            time_ps=candidate.issue_time,
+            channel=self.accounting.channel_index,
+            bank=bank, subbank=subbank, group=group,
+            kind=kind.name,
+            cause=candidate.cause.value if candidate.cause else "",
+            row=row, core=core,
+            stall=bucket.value, wait_ps=wait))
 
 
 def collect_report(config_name: str,

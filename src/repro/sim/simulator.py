@@ -38,7 +38,6 @@ import hashlib
 import heapq
 import time
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from repro.controller.controller import ChannelController, ControllerStats
@@ -66,14 +65,6 @@ class MemorySystem:
     command stream is bit-identical either way.
     """
 
-    #: Capacity bound on the address-route memo.  Traces with a huge
-    #: address footprint (or an adversarial address stream) would
-    #: otherwise grow the memo without limit; on overflow the
-    #: oldest-inserted half is evicted (dict order is insertion order),
-    #: so recently touched rows survive while the hit path stays a
-    #: plain dict ``get`` with no per-hit bookkeeping.
-    ROUTE_CACHE_CAPACITY = 1 << 16
-
     def __init__(self, config: SystemConfig,
                  observe=None) -> None:
         self.config = config
@@ -94,35 +85,11 @@ class MemorySystem:
                 channel, config.queue, config.idle_close_ps,
                 observer=observer, incremental=config.incremental,
                 refresh_policy=config.refresh_policy))
-        #: Memoised address routing: traces revisit rows constantly, and
-        #: a failed enqueue (full queue) re-routes the same address, so
-        #: decoded coordinates are cached per physical address (bounded
-        #: by :attr:`ROUTE_CACHE_CAPACITY`).
-        self._route_cache: Dict[int, Tuple[ChannelController,
-                                           "object", int]] = {}
-        #: How many times the route memo overflowed and evicted its
-        #: oldest half.
-        self.route_cache_clears = 0
-
-    @property
-    def route_cache_size(self) -> int:
-        """Current number of memoised address routes."""
-        return len(self._route_cache)
 
     def controller_for(self, address: int):
         """(controller, coords, channel index) serving this address."""
-        route = self._route_cache.get(address)
-        if route is None:
-            coords = self.mapping.decode(address)
-            route = (self.controllers[coords.channel], coords,
-                     coords.channel)
-            cache = self._route_cache
-            if len(cache) >= self.ROUTE_CACHE_CAPACITY:
-                for key in list(islice(cache, len(cache) // 2)):
-                    del cache[key]
-                self.route_cache_clears += 1
-            cache[address] = route
-        return route
+        coords = self.mapping.decode(address)
+        return self.controllers[coords.channel], coords, coords.channel
 
 
 @dataclass
@@ -147,11 +114,6 @@ class SimulationResult:
     #: Host wall-clock seconds spent in the event loop (perf counter;
     #: like peeks/candidates_built it does not feed the digest).
     wall_time_s: float = 0.0
-    #: Address-route memo diagnostics (perf counters, not in the
-    #: digest): entries held at run end, and how many oldest-half
-    #: evictions the memo performed (``repro stats`` surfaces both).
-    route_cache_size: int = 0
-    route_cache_clears: int = 0
     #: Cycle-accounting report when the run was observed (``observe=``
     #: on :class:`MemorySystem` / :func:`run_traces`); ``None``
     #: otherwise.  Observability never feeds the digest.
@@ -443,8 +405,6 @@ def collect_result(system: MemorySystem,
         precharge_causes=causes,
         elapsed_ps=elapsed,
         transactions=stats.columns,
-        route_cache_size=system.route_cache_size,
-        route_cache_clears=system.route_cache_clears,
         accounting=collect_report(system.config.name,
                                   system.observers, elapsed),
         trace=system.trace,

@@ -231,7 +231,7 @@ class StoreCounters:
 
 
 #: Process-wide aggregate over every :class:`ResultStore` instance,
-#: surfaced by ``repro stats`` next to the route-cache counters.
+#: surfaced by ``repro stats`` next to the trace-memo counters.
 GLOBAL_COUNTERS = StoreCounters()
 
 
@@ -419,8 +419,9 @@ class ResultStore:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w") as fh:
-            json.dump(entry, fh, sort_keys=True)
-            fh.write("\n")
+            # ``dumps`` runs the C encoder; ``dump`` would stream through
+            # the pure-Python one.  The bytes are the same.
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
         os.replace(tmp, path)
 
     # -- maintenance ---------------------------------------------------
@@ -442,12 +443,16 @@ class ResultStore:
             try:
                 with open(path) as fh:
                     entry = json.load(fh)
+                if not isinstance(entry, dict):
+                    # Valid JSON but no entry (``null``, ``[]``):
+                    # unreadable, as load_entry treats it.
+                    raise TypeError("store entry is not a JSON object")
                 raw_stamp = entry.get("written_at")
                 stamp = (float(raw_stamp) if raw_stamp is not None
                          else os.path.getmtime(path))
                 stale = entry.get("version") != CACHE_VERSION
             except (OSError, ValueError, TypeError):
-                entry, stamp, stale = None, 0.0, True
+                stamp, stale = 0.0, True
             if not stale and max_age_days is not None:
                 stale = now - stamp > max_age_days * 86400.0
             if stale:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.controller.controller import ChannelController
 from repro.controller.mapping import RowLayout
 from repro.controller.scheduler import REFRESH_POLICIES
 from repro.controller.transaction import DramCoordinates
@@ -277,6 +278,64 @@ class TestSystemRefresh:
             return Simulator(system, cores).run().digest()
 
         assert run(False) == run(True)
+
+    @pytest.mark.parametrize("preset", [cfgs.vsb(), cfgs.masa_eruca(8)],
+                             ids=["vsb", "masa-eruca8"])
+    @pytest.mark.parametrize("policy", REFRESH_POLICIES)
+    def test_pull_in_scan_matches_brute_force(self, policy, preset,
+                                              monkeypatch):
+        """After every commit the channel's open-slot counts equal the
+        slot lists they stand for, and the O(1) pull-in scan picks the
+        candidate a full rescan of the rotation picks."""
+        def brute_force_pick(refresh, now):
+            channel = refresh.channel
+            busy = {(txn.bank_index, txn.coords.subbank)
+                    for txn in refresh.queues.schedulable()}
+            clamp = channel.resources.ref_due - refresh.defer_slack
+            for bank_index, subbank in refresh.rotation:
+                if any(b == bank_index and (subbank < 0 or s == subbank)
+                       for b, s in busy):
+                    continue
+                if channel.refresh_scope_open(bank_index, subbank):
+                    continue
+                t = max(channel.earliest_refresh(bank_index, subbank),
+                        clamp, now)
+                return t, bank_index, subbank
+            return None
+
+        checked = {"commits": 0, "picks": 0}
+        original = ChannelController.commit
+
+        def commit(self, candidate):
+            now = candidate.issue_time
+            out = original(self, candidate)
+            channel = self.channel
+            assert len(channel.open_slots) == \
+                len(channel.refresh_scope_open())
+            for bank_index, counts in enumerate(channel.open_counts):
+                assert counts[-1] == \
+                    len(channel.refresh_scope_open(bank_index))
+                for subbank in range(len(counts) - 1):
+                    assert counts[subbank] == len(
+                        channel.refresh_scope_open(bank_index, subbank))
+            refresh = self.scheduler.refresh
+            if refresh.policy != "baseline" and self.queues.pending():
+                cand = refresh._opportunistic(now)
+                got = None if cand is None else (
+                    cand.issue_time, cand.victim[0], cand.victim[1][0])
+                assert got == brute_force_pick(refresh, now)
+                checked["picks"] += 1
+            checked["commits"] += 1
+            return out
+
+        monkeypatch.setattr(ChannelController, "commit", commit)
+        config = refresh_config(preset, policy=policy, density="16Gb")
+        traces = mixed_traffic(cores=3, n=300, seed=5)
+        system = MemorySystem(config)
+        cores = [TraceCore(t, core_id=i) for i, t in enumerate(traces)]
+        Simulator(system, cores).run()
+        assert checked["commits"] > 0
+        assert (checked["picks"] > 0) == (policy != "baseline")
 
     def test_bucket_sum_invariant_over_all_presets(self):
         """Every refresh-capable preset, refresh on: buckets still sum

@@ -14,6 +14,7 @@ Three families of guarantees:
    pre-issue state throughout real runs.
 """
 
+import hashlib
 import io
 import json
 from dataclasses import replace
@@ -314,3 +315,55 @@ def test_observed_grid_jobs_carry_reports():
     observed_result.accounting.verify()
     assert plain_result.accounting is None
     assert observed_result.digest() == plain_result.digest()
+
+
+# -- 4. pinned observer output -------------------------------------------
+
+
+def _pin_config(policy):
+    config = cfgs.vsb()
+    if policy is None:
+        return config
+    return replace(config, refresh_density="16Gb", refresh_policy=policy,
+                   name=f"{config.name}+ref-{policy}-16Gb")
+
+
+#: sha256 of the canonical ``AccountingReport.to_dict()`` JSON and of
+#: the JSONL event trace, per refresh policy (``None`` = refresh off),
+#: for ``vsb`` on mix0 at 200 accesses per core.  Bucket values and
+#: event fields are otherwise only held to invariants, so these pins
+#: catch an observer change that moves time between buckets.  The run
+#: ends before the all-bank ``baseline``'s first tREFI deadline, so its
+#: event trace equals the refresh-off one (its report differs only in
+#: the config name); ``darp``/``sarp`` refresh from ~tREFI/banks on.
+OBSERVER_PINS = {
+    None: (
+        "c8af88079399fea0a6811b04f42073cb5c184b5884d8cbde543067d240ed400f",
+        "d82e2c92066f75af97c163852426348ae88bd075062b4863df5d1655a45c633d"),
+    "baseline": (
+        "64153c9ace67e60bcda7a91c9288de0c6b7846f4c891621914799632388576f8",
+        "d82e2c92066f75af97c163852426348ae88bd075062b4863df5d1655a45c633d"),
+    "darp": (
+        "1d0ba536a969441d1b38f10224a8acaa3af9aa9fd827617cc1832678988d7965",
+        "572d0147d91b44fb025a86ae6d5263d0247198f0c21d42abd1735d99e0ac78e8"),
+    "sarp": (
+        "130926c42e1d06b87a13faad6b0b8a2ad20c59887081b9d57d78df8a1c6a7a78",
+        "7256569cce2926a75fe9e66b017919c85a2a9595bc1451c4539dfb9662f82d8a"),
+}
+
+
+def observer_digests(policy):
+    result = run_traces(_pin_config(policy), mix_traces("mix0", 200),
+                        observe=ObserveOptions(trace=True))
+    report = json.dumps(result.accounting.to_dict(), sort_keys=True,
+                        separators=(",", ":"))
+    events = io.StringIO()
+    result.trace.write_jsonl(events)
+    return (hashlib.sha256(report.encode()).hexdigest(),
+            hashlib.sha256(events.getvalue().encode()).hexdigest())
+
+
+@pytest.mark.parametrize("policy", list(OBSERVER_PINS),
+                         ids=lambda p: p or "off")
+def test_observer_output_is_pinned(policy):
+    assert observer_digests(policy) == OBSERVER_PINS[policy]

@@ -148,7 +148,8 @@ def test_gc_prunes_versions_age_and_excess(tmp_path):
     store = ResultStore(str(tmp_path))
     for seed in range(3):
         store.put_scalar(_key(seed=seed), float(seed))
-    # A stale-version file and a corrupt file both go unconditionally.
+    # A stale-version file, a corrupt file and valid JSON that is not
+    # an entry object all go unconditionally.
     stale = store.path_for("stale")
     os.makedirs(os.path.dirname(stale), exist_ok=True)
     with open(stale, "w") as fh:
@@ -156,8 +157,11 @@ def test_gc_prunes_versions_age_and_excess(tmp_path):
     with open(os.path.join(os.path.dirname(stale), "bad.json"),
               "w") as fh:
         fh.write("{not json")
+    with open(os.path.join(os.path.dirname(stale), "null.json"),
+              "w") as fh:
+        fh.write("null\n")
     report = store.gc()
-    assert (report.scanned, report.removed, report.kept) == (5, 2, 3)
+    assert (report.scanned, report.removed, report.kept) == (6, 3, 3)
     assert report.freed_bytes > 0
     # Age-based pruning: backdate one survivor.
     old = store.load_entry(_key(seed=0))
@@ -169,7 +173,7 @@ def test_gc_prunes_versions_age_and_excess(tmp_path):
     # Size cap keeps the newest N.
     report = store.gc(max_entries=1)
     assert (report.removed, report.kept) == (1, 1)
-    assert store.counters.evictions == 4
+    assert store.counters.evictions == 5
 
 
 def test_counters_tally_hits_misses_puts(tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -29,22 +30,36 @@ def test_one_event_per_committed_command():
 
 
 def test_events_carry_the_documented_schema():
-    result = traced_run(cfgs.vsb(EruConfig.full(4)))
+    plain = cfgs.vsb(EruConfig.full(4))
+    sarp = replace(plain, refresh_density="16Gb", refresh_policy="sarp",
+                   name=f"{plain.name}+ref-sarp-16Gb")
     buckets = {b.value for b in StallBucket}
     kinds = {k.name for k in CommandKind}
-    assert all(tuple(d) == TRACE_FIELDS
-               for d in result.trace.to_dicts())
-    for event in result.trace:
-        assert event.time_ps >= 0
-        assert event.kind in kinds
-        assert event.stall in buckets
-        assert event.wait_ps >= 0
-        if event.kind == "ACT":
-            assert event.row >= 0 and event.core >= 0
-        if event.kind in ("RD", "WR"):
-            assert event.row == -1 and event.core >= 0
-        if event.kind not in ("PRE", "PRE_PARTIAL"):
-            assert event.cause == ""
+    for config in (plain, sarp):
+        result = traced_run(config)
+        assert all(tuple(d) == TRACE_FIELDS
+                   for d in result.trace.to_dicts())
+        for event in result.trace:
+            assert event.time_ps >= 0
+            assert event.kind in kinds
+            assert event.stall in buckets
+            assert event.wait_ps >= 0
+            if event.kind == "ACT":
+                assert event.row >= 0 and event.core >= 0
+            if event.kind in ("RD", "WR"):
+                assert event.row == -1 and event.core >= 0
+            if event.kind not in ("PRE", "PRE_PARTIAL"):
+                assert event.cause == ""
+            if event.kind in ("REF", "REFPB"):
+                # Refresh serves no transaction; the scope rides in
+                # bank/subbank, with -1 as the "all" wildcard.
+                assert event.row == -1 and event.core == -1
+                assert event.group == -1
+                assert (event.bank == -1) == (event.kind == "REF")
+                assert event.stall in (StallBucket.ISSUE.value,
+                                       StallBucket.REFRESH.value)
+        refreshes = sum(e.kind in ("REF", "REFPB") for e in result.trace)
+        assert (refreshes > 0) == config.refresh_enabled, config.name
 
 
 def test_per_channel_traces_interleave_monotonically():

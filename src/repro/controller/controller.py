@@ -19,6 +19,14 @@ from repro.dram.commands import CommandKind
 from repro.dram.device import Channel
 from repro.sim.metrics import LatencyHistogram
 
+#: Command kinds ``commit`` dispatches on, bound once: an enum member
+#: load costs several dictionary lookups on every command.
+_PRE = CommandKind.PRE
+_ACT = CommandKind.ACT
+_WR = CommandKind.WR
+_REF = CommandKind.REF
+_REFPB = CommandKind.REFPB
+
 
 @dataclass
 class ControllerStats:
@@ -145,7 +153,8 @@ class ChannelController:
         # Floors must be read before the issue mutates channel state.
         floors = obs.floors_for(candidate) if obs is not None else None
         self.stats.commands_issued += 1
-        if candidate.kind is CommandKind.PRE:
+        kind = candidate.kind
+        if kind is _PRE:
             bank_index, slot = candidate.victim
             partial = self.channel.issue_precharge(bank_index, slot, time,
                                                    candidate.cause)
@@ -156,7 +165,7 @@ class ChannelController:
                                partial=partial,
                                queue_empty_after=not self.queues.pending())
             return []
-        if candidate.kind.is_refresh:
+        if kind is _REF or kind is _REFPB:
             bank_index, slot = candidate.victim
             self.channel.issue_refresh(time, bank_index, slot[0])
             if bank_index < 0:
@@ -172,7 +181,7 @@ class ChannelController:
                                queue_empty_after=not self.queues.pending())
             return []
         c = txn.coords
-        if candidate.kind is CommandKind.ACT:
+        if kind is _ACT:
             ewlr_hit = self.channel.issue_act(c, time)
             self.scheduler.note_bank_change(txn.bank_index)
             self.stats.acts += 1
@@ -183,7 +192,7 @@ class ChannelController:
                                partial=False,
                                queue_empty_after=not self.queues.pending())
             return []
-        is_write = candidate.kind is CommandKind.WR
+        is_write = kind is _WR
         data_end = self.channel.issue_column(c, time, is_write)
         txn.completion_time = data_end
         self.queues.remove(txn)

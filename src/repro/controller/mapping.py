@@ -35,6 +35,11 @@ class PlanePlacement(enum.Enum):
     LSB = "lsb"
 
 
+#: Builds a :class:`DramCoordinates` from a field tuple in decode order
+#: without a Python-level ``__new__`` call.
+_new_coords = tuple.__new__
+
+
 def _bits(value: int, low: int, count: int) -> int:
     """Extract ``count`` bits of ``value`` starting at bit ``low``."""
     return (value >> low) & ((1 << count) - 1)
@@ -220,6 +225,25 @@ class AddressMapping:
             self._subbank_shift = shift
             shift += config.subbank_bits
         self._row_shift = shift
+        # decode() runs once per admitted access: every field's (shift,
+        # mask) pair and the XOR-hash masks, flattened into one tuple so
+        # a decode is one attribute load and one unpack.  A zero hash
+        # mask turns the XOR into a no-op when hashing is off.
+        bg_bits, bank_bits = config.bank_group_bits, config.bank_bits
+        hashed = config.xor_hash
+        self._decode_fields = (
+            shift + config.row_bits, shift, (1 << config.row_bits) - 1,
+            self._channel_shift, (1 << config.channel_bits) - 1,
+            self._rank_shift, (1 << config.rank_bits) - 1,
+            self._bg_shift, (1 << bg_bits) - 1,
+            (1 << bg_bits) - 1 if hashed else 0,
+            self._bank_shift, (1 << bank_bits) - 1,
+            bg_bits, (1 << bank_bits) - 1 if hashed else 0,
+            self._subbank_shift, (1 << config.subbank_bits) - 1,
+            self._col_hi_shift, (1 << config.col_hi_bits) - 1,
+            config.col_lo_bits,
+            self._col_lo_shift, (1 << config.col_lo_bits) - 1,
+        )
 
     def _hash_fields(self, row: int) -> Tuple[int, int]:
         """XOR masks applied to (bank_group, bank) from the row LSBs."""
@@ -231,25 +255,25 @@ class AddressMapping:
         return bg_mask, bank_mask
 
     def decode(self, address: int) -> DramCoordinates:
-        cfg = self.config
-        if address < 0 or address >> cfg.total_bits:
+        (total_bits, row_shift, row_mask, ch_shift, ch_mask, rank_shift,
+         rank_mask, bg_shift, bg_mask, bg_hash, bank_shift, bank_mask,
+         bank_hash_shift, bank_hash, sb_shift, sb_mask, hi_shift, hi_mask,
+         lo_bits, lo_shift, lo_mask) = self._decode_fields
+        if address < 0 or address >> total_bits:
             raise ValueError(
-                f"address {address:#x} outside {cfg.total_bits}-bit space")
-        row = _bits(address, self._row_shift, cfg.row_bits)
-        bg_mask, bank_mask = self._hash_fields(row)
-        col = (_bits(address, self._col_hi_shift, cfg.col_hi_bits)
-               << cfg.col_lo_bits) | _bits(address, self._col_lo_shift,
-                                           cfg.col_lo_bits)
-        return DramCoordinates(
-            channel=_bits(address, self._channel_shift, cfg.channel_bits),
-            rank=_bits(address, self._rank_shift, cfg.rank_bits),
-            bank_group=_bits(address, self._bg_shift,
-                             cfg.bank_group_bits) ^ bg_mask,
-            bank=_bits(address, self._bank_shift, cfg.bank_bits) ^ bank_mask,
-            subbank=_bits(address, self._subbank_shift, cfg.subbank_bits),
-            row=row,
-            column=col,
-        )
+                f"address {address:#x} outside {total_bits}-bit space")
+        row = (address >> row_shift) & row_mask
+        return _new_coords(DramCoordinates, (
+            (address >> ch_shift) & ch_mask,
+            (address >> rank_shift) & rank_mask,
+            ((address >> bg_shift) & bg_mask) ^ (row & bg_hash),
+            ((address >> bank_shift) & bank_mask)
+            ^ ((row >> bank_hash_shift) & bank_hash),
+            (address >> sb_shift) & sb_mask,
+            row,
+            ((address >> hi_shift) & hi_mask) << lo_bits
+            | (address >> lo_shift) & lo_mask,
+        ))
 
     def encode(self, coords: DramCoordinates) -> int:
         """Inverse of :meth:`decode` (the XOR hash is an involution)."""

@@ -198,6 +198,18 @@ class SelectionTable:
         self.s0 = head[2]
         self.e0 = head
 
+    @classmethod
+    def single_entry(cls, entry: tuple) -> "SelectionTable":
+        """A one-entry table, built without the list/sort/prefix-min
+        work of ``__init__`` (most bank rebuilds make exactly one)."""
+        table = object.__new__(cls)
+        table.single = True
+        table.times = table.pmin = None
+        table.entries = [entry]
+        table.t0, table.a0, table.s0 = entry[0], entry[1], entry[2]
+        table.e0 = entry
+        return table
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -545,8 +557,9 @@ class Scheduler:
     def _prepare(self, txn: Transaction) -> None:
         """Fill the transaction's scheduler caches once."""
         c = txn.coords
-        bank_index = self.channel.bank_index(c)
-        bank = self.channel.banks[bank_index]
+        channel = self.channel
+        bank_index = c.bank_group * channel.banks_per_group + c.bank
+        bank = channel.banks[bank_index]
         txn.bank_index = bank_index
         txn.slot = bank.slot_key(c.subbank, c.row)
         if bank.row_layout is not None and bank.geometry.subbanks == 2:
@@ -750,8 +763,8 @@ class Scheduler:
                 t = bank.earliest_column(c.subbank, c.row, not txn.is_read)
                 if rb is not None and rb[c.subbank] > t:
                     t = rb[c.subbank]
-                table = SelectionTable(
-                    [(t, txn.arrival_time, txn.seq, txn)])
+                table = SelectionTable.single_entry(
+                    (t, txn.arrival_time, txn.seq, txn))
                 self._col_tables[bank_index] = (
                     table, (not txn.is_read, c.bank_group, bank_index))
                 self._aux_tables.pop(bank_index, None)
@@ -774,16 +787,16 @@ class Scheduler:
                 t = bank.earliest_act(c.subbank, c.row)
                 if rb is not None and rb[c.subbank] > t:
                     t = rb[c.subbank]
-                table = SelectionTable(
-                    [(t, txn.arrival_time, txn.seq, txn)])
+                table = SelectionTable.single_entry(
+                    (t, txn.arrival_time, txn.seq, txn))
                 self._aux_tables[bank_index] = (table, None, None)
             else:
                 t = bank.earliest_precharge(victim_slot, txn.is_read)
                 if rb is not None and rb[victim_slot[0]] > t:
                     t = rb[victim_slot[0]]
-                table = SelectionTable(
-                    [(t, txn.arrival_time, txn.seq, txn,
-                      (bank_index, victim_slot), cause)])
+                table = SelectionTable.single_entry(
+                    (t, txn.arrival_time, txn.seq, txn,
+                     (bank_index, victim_slot), cause))
                 self._aux_tables[bank_index] = (None, table, None)
             return
         #: Oldest arrival per (bank, slot) whose open row still has

@@ -8,8 +8,8 @@ address mapping produced for it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 
 class TransactionKind(enum.Enum):
@@ -17,14 +17,17 @@ class TransactionKind(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True)
-class DramCoordinates:
+class DramCoordinates(NamedTuple):
     """A decoded DRAM location.
 
     ``bank`` is the bank index *within* its bank group; ``global_bank``
     flattens (group, bank).  ``subbank`` is 0 for full-bank organisations
     and 0/1 (left/right) for sub-banked ones.  ``column`` indexes cache
     lines within the (sub-)bank row.
+
+    A named tuple: immutable and hashable like a frozen dataclass, but
+    built in one C call, which matters because every admitted access
+    decodes one.
     """
 
     channel: int
@@ -44,9 +47,14 @@ class DramCoordinates:
                 self.global_bank(banks_per_group))
 
 
-@dataclass
+@dataclass(eq=False)
 class Transaction:
-    """One cache-line memory request flowing through the controller."""
+    """One cache-line memory request flowing through the controller.
+
+    Equality is identity (``eq=False``): a transaction is one request,
+    never a value, and the queues' ``list.remove`` then matches by
+    ``is`` instead of comparing every field of every earlier entry.
+    """
 
     kind: TransactionKind
     address: int
@@ -70,10 +78,12 @@ class Transaction:
     #: scheduler; the deterministic last-resort tie-break in FR-FCFS
     #: candidate selection.
     seq: int = -1
+    #: ``kind is READ``, fixed at construction (the kind never changes);
+    #: the scheduler and queues test it several times per command.
+    is_read: bool = field(init=False, repr=False)
 
-    @property
-    def is_read(self) -> bool:
-        return self.kind is TransactionKind.READ
+    def __post_init__(self) -> None:
+        self.is_read = self.kind is TransactionKind.READ
 
     @property
     def queueing_latency(self) -> int:

@@ -57,6 +57,10 @@ class TraceCore:
         self.trace = trace
         self.config = config
         self.core_id = core_id
+        #: The trace's entry tuple and length, bound once: the next
+        #: entry is read several times per admitted access.
+        self._entries = trace.entries
+        self._length = len(trace.entries)
         self._index = 0                     # next trace entry
         self._instructions_issued = 0       # instructions before entry
         self._frontier_ps = 0.0             # execution-front time
@@ -81,16 +85,10 @@ class TraceCore:
 
     @property
     def done(self) -> bool:
-        return self._index >= len(self.trace) and not self._pending_reads()
+        return self._index >= self._length and not self._pending_reads()
 
     def _pending_reads(self) -> bool:
         return any(item[1] is None for item in self._inflight)
-
-    def _next_entry(self) -> TraceEntry:
-        return self.trace.entries[self._index]
-
-    def _next_instruction_index(self) -> int:
-        return self._instructions_issued + self._next_entry().gap + 1
 
     def _rob_barrier(self, target_index: int) -> int:
         """Latest completion among reads the ROB forces to retire first.
@@ -122,10 +120,12 @@ class TraceCore:
         return ready
 
     def _compute_request_time(self) -> int:
-        if self._index >= len(self.trace):
+        index = self._index
+        if index >= self._length:
             return BLOCKED
-        entry = self._next_entry()
-        barrier = self._rob_barrier(self._next_instruction_index())
+        entry = self._entries[index]
+        barrier = self._rob_barrier(self._instructions_issued + entry.gap
+                                    + 1)
         if barrier == BLOCKED:
             return BLOCKED
         if entry.depends and self._dep_read_index is not None:
@@ -138,7 +138,7 @@ class TraceCore:
 
     def peek_entry(self) -> TraceEntry:
         """The next access this core will issue (trace must not be done)."""
-        return self._next_entry()
+        return self._entries[self._index]
 
     def pop_request(self, issue_time: int) -> TraceEntry:
         """Hand the next access to the controller at ``issue_time``."""
@@ -147,8 +147,8 @@ class TraceCore:
             raise ValueError("core is blocked; no request to pop")
         if issue_time < ready:
             raise ValueError(f"issue at {issue_time} before ready {ready}")
-        entry = self._next_entry()
-        index = self._next_instruction_index()
+        entry = self._entries[self._index]
+        index = self._instructions_issued + entry.gap + 1
         if not entry.is_write:
             self._inflight.append([index, None])
             self._dep_read_index = index

@@ -126,12 +126,22 @@ class Bank:
         self._pcm = timing.write_pulse_enabled
         self._trcd_wr = timing.trcd_wr
         self._cancel_ok = timing.tWCT > 0
+        # slot_key runs several times per command.  A single-group bank
+        # hands out its per-sub-bank keys from a table; a MASA bank
+        # shifts the row by the precomputed group shift.
+        self._flat_keys: Optional[Tuple[SlotKey, ...]] = (
+            tuple((sb, 0) for sb in range(geometry.subbanks))
+            if geometry.subarray_groups == 1 else None)
+        self._group_shift = geometry.group_shift
 
     # -- addressing -----------------------------------------------------
 
     def slot_key(self, subbank: int, row: int) -> SlotKey:
         """The (sub-bank, sub-array group) slot serving this row."""
-        return (subbank, self.geometry.group_of(row))
+        keys = self._flat_keys
+        if keys is not None:
+            return keys[subbank]
+        return (subbank, row >> self._group_shift)
 
     def slot(self, subbank: int, row: int) -> RowSlot:
         """The :class:`RowSlot` serving (subbank, row)."""
@@ -241,14 +251,19 @@ class Bank:
                 floor = pulse
         return floor
 
-    def do_activate(self, subbank: int, row: int, time: int) -> None:
+    def do_activate(self, subbank: int, row: int, time: int) -> bool:
         """Open ``row``: set the slot's ``tRCD``/``tRAS``/``tRC``
-        horizons and cache its plane/MWL tag for classify()."""
-        verdict, _ = self.classify(subbank, row)
-        if verdict not in (ActivationVerdict.ACT_OK,
-                           ActivationVerdict.EWLR_HIT):
+        horizons and cache its plane/MWL tag for classify().
+
+        Returns whether the ACT was an EWLR hit -- the verdict of the
+        legality check, so callers need not classify a second time.
+        """
+        key = self.slot_key(subbank, row)
+        verdict, _ = self.classify(subbank, row, key=key)
+        ewlr_hit = verdict is ActivationVerdict.EWLR_HIT
+        if not ewlr_hit and verdict is not ActivationVerdict.ACT_OK:
             raise ValueError(f"illegal ACT at {time}: {verdict}")
-        slot = self.slot(subbank, row)
+        slot = self.slots[key]
         if time < slot.act_allowed:
             raise ValueError(
                 f"ACT at {time} violates act_allowed={slot.act_allowed}")
@@ -260,9 +275,11 @@ class Bank:
         slot.pre_allowed = time + t.tRAS
         slot.act_allowed = time + t.tRC
         slot.last_use = time
-        if self.row_layout is not None and self.geometry.subbanks == 2:
-            slot.active_plane = self._plane_of(row, subbank)
-            slot.active_mwl = self.row_layout.mwl_tag(row)
+        layout = self.row_layout
+        if layout is not None and self.geometry.subbanks == 2:
+            slot.active_plane = layout.plane_id(row, subbank, self.rap)
+            slot.active_mwl = layout.mwl_tag(row)
+        return ewlr_hit
 
     def do_column(self, subbank: int, row: int, time: int,
                   is_write: bool) -> None:

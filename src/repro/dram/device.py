@@ -89,12 +89,13 @@ class Channel:
     def earliest_act(self, coords: DramCoordinates) -> int:
         """Earliest legal ACT: command bus, ``tRRD``, the slot FSM, and
         any refresh blackout covering the slot's sub-bank."""
-        bank = self.bank(coords)
+        bank_index = coords.bank_group * self.banks_per_group + coords.bank
         best = max(self.resources.earliest_act(),
-                   bank.earliest_act(coords.subbank, coords.row))
+                   self.banks[bank_index].earliest_act(coords.subbank,
+                                                       coords.row))
         ru = self.resources.ref_until
         if ru is not None:
-            v = ru[self.bank_index(coords)][coords.subbank]
+            v = ru[bank_index][coords.subbank]
             if v > best:
                 best = v
         return best
@@ -102,12 +103,12 @@ class Channel:
     def earliest_column(self, coords: DramCoordinates,
                         is_write: bool) -> int:
         """Earliest legal RD/WR: shared CAS/bus windows + ``tRCD``."""
-        bank = self.bank(coords)
-        bank_index = self.bank_index(coords)
+        bank_index = coords.bank_group * self.banks_per_group + coords.bank
         best = max(
             self.resources.earliest_column(
                 is_write, coords.bank_group, bank_index),
-            bank.earliest_column(coords.subbank, coords.row, is_write),
+            self.banks[bank_index].earliest_column(
+                coords.subbank, coords.row, is_write),
         )
         ru = self.resources.ref_until
         if ru is not None:
@@ -245,13 +246,11 @@ class Channel:
 
     def issue_act(self, coords: DramCoordinates, time: int) -> bool:
         """Issue an ACT; returns whether it was an EWLR hit."""
-        bank = self.bank(coords)
-        verdict, _ = bank.classify(coords.subbank, coords.row)
-        ewlr_hit = verdict is ActivationVerdict.EWLR_HIT
-        bank.do_activate(coords.subbank, coords.row, time)
+        bank_index = coords.bank_group * self.banks_per_group + coords.bank
+        bank = self.banks[bank_index]
+        ewlr_hit = bank.do_activate(coords.subbank, coords.row, time)
         self.resources.record_act(time)
         self.energy.record_act(ewlr_hit=ewlr_hit)
-        bank_index = self.bank_index(coords)
         slot = bank.slot_key(coords.subbank, coords.row)
         self.open_slots[(bank_index, slot)] = None
         counts = self.open_counts[bank_index]
@@ -267,9 +266,9 @@ class Channel:
     def issue_column(self, coords: DramCoordinates, time: int,
                      is_write: bool) -> int:
         """Issue a RD/WR; returns the data-burst completion time."""
-        bank = self.bank(coords)
+        bank_index = coords.bank_group * self.banks_per_group + coords.bank
+        bank = self.banks[bank_index]
         bank.do_column(coords.subbank, coords.row, time, is_write)
-        bank_index = self.bank_index(coords)
         data_end = self.resources.record_column(
             time, is_write, coords.bank_group, bank_index)
         if is_write:

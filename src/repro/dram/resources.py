@@ -103,6 +103,32 @@ class ChannelResources:
         ddb = policy is BusPolicy.DDB
         self._windows_active = (ddb and timing.tTCW > 0
                                 and timing.ddb_windows_needed())
+        # earliest_column runs per column table per peek: the timing
+        # constants it adds and the long-window trackers the policy
+        # scopes (per bank group, per bank under DDB, none when ideal)
+        # are bound once here instead of dispatching on the policy and
+        # reloading ``self.timing.*`` on every call.
+        self._tCCD_S = timing.tCCD_S
+        self._tCCD_L = timing.tCCD_L
+        self._tWTR_S = timing.tWTR_S
+        self._tWTR_L = timing.tWTR_L
+        self._tTCW = timing.tTCW
+        self._tTWTRW = timing.tTWTRW
+        self._tCL = timing.tCL
+        self._tCWL = timing.tCWL
+        self._turnaround = TURNAROUND_CLOCKS * timing.tCK
+        #: The long-window trackers, or None under NO_GROUPS;
+        #: ``_long_by_bank`` says whether they index by bank (DDB) or
+        #: by bank group.
+        self._long_cas: Optional[List[int]] = None
+        self._long_wr: Optional[List[int]] = None
+        self._long_by_bank = ddb
+        if policy is BusPolicy.BANK_GROUPS:
+            self._long_cas = self._last_cas_bg
+            self._long_wr = self._wr_end_bg
+        elif ddb:
+            self._long_cas = self._last_cas_bank
+            self._long_wr = self._wr_end_bank
 
     # -- queries ---------------------------------------------------------
 
@@ -143,51 +169,45 @@ class ChannelResources:
 
         Hot path (one call per cached column candidate per peek), so the
         floors are folded with running comparisons instead of building a
-        throwaway list.
+        throwaway list, over constants and trackers bound in
+        ``__init__``.
         """
-        t = self.timing
         best = self.cmd_bus_free
-        v = self._last_cas_any + t.tCCD_S
+        v = self._last_cas_any + self._tCCD_S
         if v > best:
             best = v
-        policy = self.policy
-        if policy is BusPolicy.BANK_GROUPS:
-            v = self._last_cas_bg[bank_group] + t.tCCD_L
-            if v > best:
-                best = v
-        elif policy is BusPolicy.DDB:
-            v = self._last_cas_bank[bank] + t.tCCD_L
+        long_cas = self._long_cas
+        if long_cas is not None:
+            scope = bank if self._long_by_bank else bank_group
+            v = long_cas[scope] + self._tCCD_L
             if v > best:
                 best = v
             if self._windows_active:
-                v = self._cas_window[bank_group][0] + t.tTCW
+                v = self._cas_window[bank_group][0] + self._tTCW
                 if v > best:
                     best = v
-        # Write-to-read turnaround (command-level).
-        if not is_write:
-            v = self._wr_end_any + t.tWTR_S
+        if is_write:
+            latency = self._tCWL
+        else:
+            # Write-to-read turnaround (command-level).
+            latency = self._tCL
+            v = self._wr_end_any + self._tWTR_S
             if v > best:
                 best = v
-            if policy is BusPolicy.BANK_GROUPS:
-                v = self._wr_end_bg[bank_group] + t.tWTR_L
-                if v > best:
-                    best = v
-            elif policy is BusPolicy.DDB:
-                v = self._wr_end_bank[bank] + t.tWTR_L
+            if long_cas is not None:
+                v = self._long_wr[scope] + self._tWTR_L
                 if v > best:
                     best = v
                 if self._windows_active:
-                    v = self._wr_window[bank_group][0] + t.tTWTRW
+                    v = self._wr_window[bank_group][0] + self._tTWTRW
                     if v > best:
                         best = v
         # External data-bus occupancy: the new burst must start after the
         # previous one ends, plus a turnaround bubble on direction change.
         last_write = self._last_data_write
+        v = self._last_data_end - latency
         if last_write is not None and last_write != is_write:
-            v = (self._last_data_end + TURNAROUND_CLOCKS * t.tCK
-                 - (t.tCWL if is_write else t.tCL))
-        else:
-            v = self._last_data_end - (t.tCWL if is_write else t.tCL)
+            v += self._turnaround
         if v > best:
             best = v
         return best

@@ -38,6 +38,9 @@ GRID_MIN_COST_ENV = "REPRO_GRID_MIN_COST"
 #: cliff" -- a 3-job figure run used to fork a pool per call and come
 #: out slower than serial).
 DEFAULT_GRID_MIN_COST = 50_000
+#: Pool chunks per worker: each :func:`run_grid` chunk holds about
+#: ``1 / CHUNKS_PER_WORKER`` of one worker's share of the grid.
+CHUNKS_PER_WORKER = 16
 
 
 @dataclass(frozen=True)
@@ -201,6 +204,14 @@ def run_grid(jobs: Sequence[SimJob], workers: int = 1,
     to the store and report progress the moment it lands, so a killed
     run keeps everything already finished).
 
+    Pool dispatch hands out chunks of
+    ``len(jobs) // (workers * CHUNKS_PER_WORKER)`` cells (at least
+    one): small enough that the last chunks even out across workers,
+    large enough that neighbouring cells of one workload share a
+    worker's trace memo.  Callers submit heavy cells first
+    (:func:`repro.sim.runner.execute_cells` orders by
+    :func:`_job_cost`), so the tail is made of the cheapest ones.
+
     A worker that dies mid-grid raises :class:`BrokenProcessPool`; the
     broken pool is discarded first, so the next call forks a fresh one.
     """
@@ -218,11 +229,11 @@ def run_grid(jobs: Sequence[SimJob], workers: int = 1,
     # possibly smaller per-call pool size) so differently sized grids
     # share one executor.
     pool = _warm_executor(workers)
-    # Mild chunking amortises IPC without hurting load balance.  Sized
-    # from the workers a grid can actually occupy: a short job list on
-    # a wide pool must not collapse to one chunk per worker short of
-    # covering the list.
-    chunk = max(1, len(jobs) // (min(workers, len(jobs)) * 4))
+    # Sized from the workers a grid can actually occupy: a short job
+    # list on a wide pool must not collapse to one chunk per worker
+    # short of covering the list.
+    chunk = max(1, len(jobs)
+                // (min(workers, len(jobs)) * CHUNKS_PER_WORKER))
     try:
         for index, result in enumerate(
                 pool.map(_run_job, jobs, chunksize=chunk)):

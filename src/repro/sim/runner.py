@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.core import CoreConfig
 from repro.sim.metrics import weighted_speedup
-from repro.sim.parallel import SimJob, run_grid
+from repro.sim.parallel import SimJob, _job_cost, run_grid
 from repro.sim.simulator import SimulationResult
 from repro.sim.specs import CellKey, ExperimentSpec
 from repro.sim.store import ResultStore
@@ -110,14 +110,18 @@ def execute_cells(cells: Sequence[CellKey], *,
         missing.append(cell)
     if not missing:
         return report
-    # Group cells sharing a workload next to each other: chunked
-    # dispatch then lands them on one worker, whose per-process trace
-    # memo regenerates the traces once per group.
+    # Heaviest cells first (by run_grid's cost estimate), so the cheap
+    # ones fill the pool's tail instead of a heavy straggler running
+    # alone at the end.  Within one cost class, cells sharing a
+    # workload sit next to each other: chunked dispatch then lands
+    # them on one worker, whose per-process trace memo regenerates the
+    # traces once per chunk.
+    sim_jobs = [cell_job(cell, observe) for cell in missing]
     order = sorted(range(len(missing)), key=lambda i: (
-        missing[i].kind, missing[i].workload,
+        -_job_cost(sim_jobs[i]), missing[i].kind, missing[i].workload,
         missing[i].fragmentation, missing[i].seed, i))
     missing = [missing[i] for i in order]
-    sim_jobs = [cell_job(cell, observe) for cell in missing]
+    sim_jobs = [sim_jobs[i] for i in order]
 
     def on_result(index: int, result: SimulationResult) -> None:
         cell = missing[index]

@@ -202,6 +202,11 @@ class Simulator:
         self.park_admission = park_admission
         #: Cached scheduler proposals per channel, invalidated on change.
         self._peeks: List = [None] * len(system.controllers)
+        #: Each channel's selection entry point, bound once (the
+        #: ``ChannelController.peek`` pass-through is one call per
+        #: peek that this skips).
+        self._select = [controller.scheduler.best
+                        for controller in system.controllers]
         self._dirty = [True] * len(system.controllers)
         #: Min-heap of (ready time, core id) arrival events; cores whose
         #: next access is BLOCKED have no entry until a read completion
@@ -226,11 +231,11 @@ class Simulator:
         # iteration and a per-channel call was measurable on wide grids.
         best_idx, best = None, None
         peeks, dirty = self._peeks, self._dirty
-        controllers = self.system.controllers
+        select = self._select
         now = self.now
-        for idx in range(len(controllers)):
+        for idx in range(len(select)):
             if dirty[idx]:
-                peeks[idx] = controllers[idx].peek(now)
+                peeks[idx] = select[idx](now)
                 dirty[idx] = False
             cand = peeks[idx]
             if cand is None:

@@ -21,7 +21,8 @@ results:
 * **Writes** are atomic (temp file + ``os.replace``) and merge
   freshest-last: concurrent writers of the same key race to an
   identical deterministic payload, and a new unobserved write never
-  drops an existing entry's accounting sidecar.
+  drops an existing entry's accounting sidecar.  A write that fails
+  removes its temp file; ``gc`` removes those a killed writer left.
 * **Counters** -- hits / misses / puts / evictions -- are kept per
   store and aggregated process-wide (``repro stats`` prints the
   aggregate); ``repro gc`` prunes stale versions and old entries.
@@ -64,6 +65,21 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 CACHE_VERSION = 4
 
 _HEX_KEY = re.compile(r"[0-9a-f]{64}")
+#: Name of an in-flight write's temp file, ``<key>.json.tmp.<pid>``.
+_TEMP_NAME = re.compile(r"\.json\.tmp\.(\d+)$")
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether process ``pid`` exists (signal 0 probes, sends nothing)."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # someone else's live process
+    return True
 
 
 def cache_directory(directory: Optional[str] = None) -> str:
@@ -339,6 +355,9 @@ class ResultStore:
 
     def iter_paths(self) -> Iterator[str]:
         """Every entry file currently on disk."""
+        return self._iter_files(lambda name: name.endswith(".json"))
+
+    def _iter_files(self, wanted) -> Iterator[str]:
         if not os.path.isdir(self.directory):
             return
         for shard in sorted(os.listdir(self.directory)):
@@ -346,7 +365,7 @@ class ResultStore:
             if not os.path.isdir(sub):
                 continue
             for name in sorted(os.listdir(sub)):
-                if name.endswith(".json"):
+                if wanted(name):
                     yield os.path.join(sub, name)
 
     # -- writes --------------------------------------------------------
@@ -418,11 +437,20 @@ class ResultStore:
         path = self.path_for(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            # ``dumps`` runs the C encoder; ``dump`` would stream through
-            # the pure-Python one.  The bytes are the same.
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as fh:
+                # ``dumps`` runs the C encoder; ``dump`` would stream
+                # through the pure-Python one.  The bytes are the same.
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            # A failed serialisation or write must not leave the temp
+            # file behind (gc collects only those of dead writers).
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+            raise
 
     # -- maintenance ---------------------------------------------------
 
@@ -433,9 +461,16 @@ class ResultStore:
         Always removes unreadable entries and entries from other cache
         versions.  ``max_age_days`` drops entries older than that
         (by ``written_at``, falling back to file mtime);
-        ``max_entries`` keeps only the newest N survivors.
+        ``max_entries`` keeps only the newest N survivors.  Temp files
+        of writers that died mid-write (``<key>.json.tmp.<pid>`` with
+        no live ``pid``) are removed too and count in ``removed`` and
+        ``freed_bytes``; a live writer's temp file is left alone.
         """
         report = GcReport()
+        for path in list(self._iter_files(_TEMP_NAME.search)):
+            pid = int(_TEMP_NAME.search(path).group(1))
+            if not _pid_alive(pid):
+                self._remove(path, report, evict=False)
         survivors: List[tuple] = []
         now = time.time()
         for path in list(self.iter_paths()):
@@ -467,7 +502,8 @@ class ResultStore:
         report.kept = len(survivors)
         return report
 
-    def _remove(self, path: str, report: GcReport) -> None:
+    def _remove(self, path: str, report: GcReport,
+                evict: bool = True) -> None:
         try:
             size = os.path.getsize(path)
             os.remove(path)
@@ -475,8 +511,9 @@ class ResultStore:
             return
         report.removed += 1
         report.freed_bytes += size
-        self.counters.evictions += 1
-        GLOBAL_COUNTERS.evictions += 1
+        if evict:
+            self.counters.evictions += 1
+            GLOBAL_COUNTERS.evictions += 1
 
     # -- counter plumbing ---------------------------------------------
 

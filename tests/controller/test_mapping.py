@@ -1,5 +1,8 @@
 """Unit and property tests for the address mapping (paper Fig. 9)."""
 
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from repro.controller.mapping import (
     skylake_mapping,
 )
 from repro.controller.transaction import DramCoordinates
+from repro.sim import config as cfgs
 
 
 class TestRowLayout:
@@ -201,3 +205,68 @@ def test_global_bank_flattening():
     c = DramCoordinates(channel=0, rank=0, bank_group=2, bank=3,
                         subbank=0, row=0, column=0)
     assert c.global_bank(banks_per_group=4) == 11
+
+
+def reference_decode(cfg: MappingConfig, address: int) -> DramCoordinates:
+    """Slice ``address`` field by field, LSB first, the plain way."""
+    order = ["offset", "col_lo", "channel", "bank_group"]
+    order += ["subbank"] if cfg.subbank_low else []
+    order += ["col_hi", "bank", "rank"]
+    order += [] if cfg.subbank_low else ["subbank"]
+    order += ["row"]
+    field = {}
+    for name in order:
+        width = getattr(cfg, f"{name}_bits")
+        field[name] = address % (1 << width)
+        address //= 1 << width
+    assert address == 0
+    bank_group, bank, row = field["bank_group"], field["bank"], field["row"]
+    if cfg.xor_hash:
+        bank_group ^= row % (1 << cfg.bank_group_bits)
+        bank ^= (row >> cfg.bank_group_bits) % (1 << cfg.bank_bits)
+    return DramCoordinates(
+        channel=field["channel"], rank=field["rank"],
+        bank_group=bank_group, bank=bank, subbank=field["subbank"],
+        row=row,
+        column=field["col_hi"] * (1 << cfg.col_lo_bits) + field["col_lo"])
+
+
+def _decode_variants():
+    """Every preset's mapping with the XOR hash on and off, both
+    sub-bank placements, plus a ranked geometry no preset uses."""
+    out = []
+    for preset in cfgs.all_presets():
+        mapping = preset.mapping()
+        for xor_hash in (True, False):
+            for subbank_low in (True, False):
+                out.append((f"{preset.name}-xor{int(xor_hash)}"
+                            f"-low{int(subbank_low)}",
+                            AddressMapping(
+                                replace(mapping.config, xor_hash=xor_hash,
+                                        subbank_low=subbank_low),
+                                mapping.row_layout)))
+    ranked = MappingConfig(rank_bits=1, subbank_bits=1, row_bits=15)
+    out.append(("ranked", AddressMapping(ranked)))
+    return out
+
+
+@pytest.mark.parametrize("name,mapping", _decode_variants(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_decode_matches_reference_bit_slicer(name, mapping):
+    rng = random.Random(name)
+    cfg = mapping.config
+    for _ in range(300):
+        address = rng.randrange(cfg.capacity_bytes)
+        coords = mapping.decode(address)
+        assert type(coords) is DramCoordinates
+        assert coords == reference_decode(cfg, address)
+        line = address & ~((1 << cfg.offset_bits) - 1)
+        assert mapping.encode(coords) == line
+
+
+def test_coordinates_are_immutable_and_hashable():
+    c = skylake_mapping().decode(0x12345 << 6)
+    with pytest.raises(AttributeError):
+        c.row = 0
+    assert hash(c) == hash(skylake_mapping().decode(0x12345 << 6))
+    assert c._replace(row=c.row) == c

@@ -109,3 +109,28 @@ class TestDrainPolicy:
         q = TransactionQueues()
         assert q.schedulable() == []
         assert not q.pending()
+
+
+class TestIdentityRemoval:
+    """A transaction is one request, not a value: removal must take out
+    that very object even when an earlier entry is field-for-field
+    equal to it."""
+
+    def test_value_equal_transactions_are_distinct(self):
+        a, b = read(), read()
+        assert a is not b and a != b
+        assert a == a
+
+    def test_remove_takes_the_identical_transaction(self):
+        q = TransactionQueues()
+        a, b = read(), read()
+        q.enqueue(a, 5)
+        q.enqueue(b, 5)
+        q.remove(b)
+        assert len(q.reads) == 1 and q.reads[0] is a
+        q.remove(a)
+        assert not q.pending()
+
+    def test_is_read_is_fixed_at_construction(self):
+        assert read().is_read is True
+        assert write().is_read is False

@@ -231,3 +231,20 @@ class TestWriteHandling:
         cands = c.scheduler.candidates(0)
         acts = [x for x in cands if x.kind is CommandKind.ACT]
         assert len(acts) == 1
+
+
+def test_note_remove_drops_the_identical_transaction():
+    """Two field-for-field equal transactions in one bank's list: the
+    scheduler drops the one that retired, by identity."""
+    c = flat_controller()
+    a, b = txn(row=3), txn(row=3)
+    a.seq = b.seq = 7  # equal in every field once enqueued together
+    c.enqueue(a, 0)
+    c.peek(0)  # builds the membership from the read queue
+    c.enqueue(b, 0)
+    bank_txns = c.scheduler._bank_txns[a.bank_index]
+    assert [t is a for t in bank_txns] == [True, False]
+    c.queues.remove(b)
+    c.scheduler.note_remove(b)
+    assert len(bank_txns) == 1 and bank_txns[0] is a
+    assert c.queues.reads == [a]

@@ -294,3 +294,47 @@ def test_vsb_bank_invariants(planes, ewlr, rap, ops):
                     assert layout.mwl_tag(r0) == layout.mwl_tag(r1)
                 else:
                     assert r0 == r1
+
+
+class TestDoActivateVerdict:
+    """``do_activate`` reports the EWLR hit its legality check found,
+    and the check itself still rejects illegal and early ACTs."""
+
+    def test_returns_ewlr_hit_flag(self):
+        b = vsb_bank(ewlr=True, rap=False)
+        base = 0b01 << 14
+        assert b.do_activate(0, base, time=0) is False
+        near = base | (1 << 11)  # same plane and MWL tag
+        assert b.classify(1, near)[0] is ActivationVerdict.EWLR_HIT
+        assert b.do_activate(1, near, time=100) is True
+
+    def test_plain_act_is_not_an_ewlr_hit(self):
+        assert full_bank().do_activate(0, 5, time=0) is False
+        assert masa_bank().do_activate(0, 5, time=0) is False
+
+    def test_illegal_verdicts_raise(self):
+        b = vsb_bank(ewlr=False, rap=False)
+        row = 0b01 << 14
+        b.do_activate(0, row, time=0)
+        with pytest.raises(ValueError, match="illegal ACT"):
+            b.do_activate(0, row, time=T.tRC)  # ROW_HIT
+        with pytest.raises(ValueError, match="illegal ACT"):
+            b.do_activate(0, row + 1, time=T.tRC)  # OWN_ROW_CONFLICT
+        with pytest.raises(ValueError, match="illegal ACT"):
+            b.do_activate(1, row | 1, time=T.tRC)  # PLANE_CONFLICT
+
+    def test_early_act_raises(self):
+        b = full_bank()
+        b.do_activate(0, 5, time=0)
+        b.do_precharge((0, 0), time=T.tRAS)
+        with pytest.raises(ValueError, match="act_allowed"):
+            b.do_activate(0, 6, time=T.tRAS + T.tRP - 1)
+        assert b.do_activate(0, 6, time=max(T.tRC, T.tRAS + T.tRP)) \
+            is False
+
+    def test_masa_slot_keys_follow_row_msbs(self):
+        b = masa_bank(groups=4)
+        quarter = 1 << 15
+        assert [b.slot_key(0, g * quarter) for g in range(4)] == \
+            [(0, g) for g in range(4)]
+        assert vsb_bank().slot_key(1, 0xFFFF) == (1, 0)

@@ -175,3 +175,39 @@ def test_earliest_column_is_monotone_and_legal(policy, ops):
         after = r.earliest_column(is_write, bg, bank)
         assert after > issue  # at least tCCD separates same-target CAS
         prev = issue
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    policy=st.sampled_from(list(BusPolicy)),
+    ops=st.lists(
+        st.tuples(st.sampled_from(("rd", "wr", "act", "pre")),
+                  st.integers(0, 3), st.integers(0, 3), st.integers(0, 6)),
+        min_size=1, max_size=24),
+)
+def test_earliest_column_is_the_max_of_its_floors(policy, ops):
+    """Property: the hot-path fold equals the tagged decomposition the
+    accounting layer reads, under every bus policy, with the DDB
+    two-command windows binding (a fast channel)."""
+    timing = ddr4_timings(2.4e9).with_ddb_windows()
+    r = ChannelResources(timing, policy, bank_groups=4, banks=16)
+    assert r.windows_active == (policy is BusPolicy.DDB)
+    now = 0
+    for op, bg, bank_in_group, gap in ops:
+        for is_write in (False, True):
+            for pbg in range(4):
+                for pbank in (pbg * 4, pbg * 4 + 3):
+                    floors = r.column_floors(is_write, pbg, pbank)
+                    assert r.earliest_column(is_write, pbg, pbank) == \
+                        max(t for _, t in floors)
+        bank = bg * 4 + bank_in_group
+        if op in ("rd", "wr"):
+            t = max(now, r.earliest_column(op == "wr", bg, bank))
+            r.record_column(t + gap * timing.tCK, op == "wr", bg, bank)
+        elif op == "act":
+            t = max(now, r.earliest_act())
+            r.record_act(t + gap * timing.tCK)
+        else:
+            t = max(now, r.earliest_precharge())
+            r.record_precharge(t + gap * timing.tCK)
+        now = t + gap * timing.tCK

@@ -23,6 +23,8 @@ from repro.sim.parallel import (
     run_grid,
     trace_memo_stats,
 )
+from repro.sim.runner import execute_cells
+from repro.sim.specs import ExperimentSettings, fig13_spec
 
 
 def _exit_in_worker(job):
@@ -49,6 +51,18 @@ class _RecordingPool:
     def map(self, fn, jobs, chunksize=1):
         self.calls += 1
         return [fn(job) for job in jobs]
+
+
+class _DispatchRecordingPool:
+    """Runs in-process and records what ``run_grid`` handed it."""
+
+    def __init__(self):
+        self.jobs = None
+        self.chunksize = None
+
+    def map(self, fn, jobs, chunksize=1):
+        self.jobs, self.chunksize = list(jobs), chunksize
+        return [fn(job) for job in self.jobs]
 
 
 class TestCostGate:
@@ -149,3 +163,49 @@ class TestTraceMemo:
         monkeypatch.setattr(parallel, "_trace_memo", {})
         job = _job(accesses=8)
         assert parallel._job_traces(job) is parallel._job_traces(job)
+
+
+class TestDispatchOrder:
+    def test_cells_go_heaviest_first_in_fine_chunks(self, monkeypatch):
+        monkeypatch.setenv("REPRO_GRID_MIN_COST", "0")
+        pool = _DispatchRecordingPool()
+        monkeypatch.setattr(parallel, "_warm_executor",
+                            lambda workers: pool)
+        settings = ExperimentSettings(accesses_per_core=12,
+                                      mixes=("mix0", "mix3"))
+        cells = fig13_spec(settings).expand()
+        pooled = {}
+        report = execute_cells(cells, results=pooled, jobs=2)
+        assert report.submitted == len(cells) == len(pool.jobs)
+        # ~1/16 of a worker's share per chunk (84 cells, 2 workers).
+        assert pool.chunksize == len(cells) // (
+            2 * parallel.CHUNKS_PER_WORKER) == 2
+        # Heaviest first: the 4-core mix cells, then the alone cells.
+        costs = [_job_cost(job) for job in pool.jobs]
+        assert costs == sorted(costs, reverse=True)
+        assert costs[0] > costs[-1]
+        # Within a cost class, each workload's cells are contiguous, so
+        # a chunk's cells share one worker's trace memo entry.
+        workloads = [(job.mix, job.benchmark, job.fragmentation)
+                     for job in pool.jobs]
+        runs = [w for i, w in enumerate(workloads)
+                if i == 0 or w != workloads[i - 1]]
+        assert len(runs) == len(set(workloads))
+        # Results land on their own cells: digest-equal to serial.
+        serial = {}
+        execute_cells(cells, results=serial, jobs=1)
+        assert {c: r.digest() for c, r in pooled.items()} == \
+            {c: r.digest() for c, r in serial.items()}
+
+    def test_results_keep_submission_order(self, monkeypatch):
+        monkeypatch.setenv("REPRO_GRID_MIN_COST", "0")
+        pool = _DispatchRecordingPool()
+        monkeypatch.setattr(parallel, "_warm_executor",
+                            lambda workers: pool)
+        jobs = [_job(accesses=10, seed=s % 3) if s % 2 else
+                _job(accesses=10, mix=None, benchmark="mcf", seed=s)
+                for s in range(40)]
+        results = run_grid(jobs, workers=2)
+        assert pool.chunksize == 1  # 40 // 32, never below one
+        assert [r.digest() for r in results] == \
+            [r.digest() for r in run_grid(jobs, workers=1)]

@@ -1,10 +1,14 @@
-"""The cProfile harness shared by ``repro profile`` and tools/."""
+"""The cProfile harness shared by ``repro profile`` and tools/, and
+the deterministic opcode counter behind ``profile_sim.py --opcodes``."""
 
 import pstats
+import sys
 
 from repro.cli import main
+from repro.cpu.core import CoreConfig
 from repro.sim import config as cfgs
-from repro.sim.profiling import profile_run
+from repro.sim.parallel import SimJob, _run_job
+from repro.sim.profiling import count_opcodes, profile_run
 
 
 class TestProfileRun:
@@ -51,3 +55,48 @@ class TestProfileCli:
         main(["profile", "--config", "ddr4", "--mix", "mix0",
               "--accesses", "60", "--path", "reference"])
         assert "digest:" in capsys.readouterr().out
+
+
+class TestCountOpcodes:
+    def _job(self, config):
+        return SimJob(config=config, accesses=30, fragmentation=0.1,
+                      seed=0, core_config=CoreConfig(), mix="mix0")
+
+    def test_digest_equals_the_uninstrumented_run(self):
+        jobs = [self._job(cfgs.vsb()), self._job(cfgs.masa(4))]
+        report = count_opcodes(jobs)
+        assert report.digests == [_run_job(job).digest() for job in jobs]
+        assert report.commands == sum(
+            _run_job(job).stats.commands_issued for job in jobs)
+        assert sys.gettrace() is None  # the tracer is removed again
+
+    def test_rows_sum_to_the_totals(self):
+        report = count_opcodes([self._job(cfgs.vsb())])
+        assert report.calls > report.commands > 0
+        assert report.opcodes > report.calls
+        assert sum(row[1] for row in report.rows) == report.calls
+        assert sum(row[2] for row in report.rows) == report.opcodes
+        names = [row[0] for row in report.rows]
+        assert len(names) == len(set(names))
+        assert any("Scheduler.best" in name for name in names)
+
+    def test_counts_are_deterministic(self):
+        job = self._job(cfgs.ddr4_baseline())
+        first, second = count_opcodes([job]), count_opcodes([job])
+        assert (first.calls, first.opcodes) == \
+            (second.calls, second.opcodes)
+
+    def test_tool_prints_per_command_counts(self, capsys):
+        import importlib.util
+        import pathlib
+        path = (pathlib.Path(__file__).resolve().parents[2] / "tools"
+                / "profile_sim.py")
+        spec = importlib.util.spec_from_file_location("profile_sim", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.main(["--opcodes", "--spec", "fig13", "--accesses",
+                          "20", "--mixes", "mix0", "--cell", "3",
+                          "--limit", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "calls/cmd:" in out and "opcodes/cmd:" in out
+        assert out.count("digest:") == 1

@@ -10,6 +10,8 @@ never misread -- including the pre-v4 ``alone_ipc.json`` table.
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -183,3 +185,47 @@ def test_counters_tally_hits_misses_puts(tmp_path):
     assert store.get(_key()) is not None
     c = store.counters
     assert (c.hits, c.misses, c.puts) == (1, 1, 1)
+
+
+def _temp_files(store):
+    return [name for _, _, names in os.walk(store.directory)
+            for name in names if ".json.tmp." in name]
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    store = ResultStore(str(tmp_path))
+    with pytest.raises(TypeError):
+        store._write(_key(), {"result": object()})  # not JSON
+    assert _temp_files(store) == []
+    assert not os.path.exists(store.path_for(_key()))
+    assert len(store) == 0
+
+
+def _plant_temp(store, pid, payload="{half a write"):
+    path = f"{store.path_for(_key())}.tmp.{pid}"
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(payload)
+    return path
+
+
+def test_gc_collects_the_temp_file_of_a_dead_writer(tmp_path):
+    store = ResultStore(str(tmp_path))
+    store.put_scalar(_key(seed=1), 1.0)
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its pid names no live process
+    orphan = _plant_temp(store, child.pid)
+    size = os.path.getsize(orphan)
+    report = store.gc()
+    assert not os.path.exists(orphan)
+    assert (report.scanned, report.removed, report.kept) == (1, 1, 1)
+    assert report.freed_bytes == size
+    assert store.counters.evictions == 0  # not an entry eviction
+
+
+def test_gc_keeps_the_temp_file_of_a_live_writer(tmp_path):
+    store = ResultStore(str(tmp_path))
+    live = _plant_temp(store, os.getpid())
+    report = store.gc()
+    assert os.path.exists(live)
+    assert (report.removed, report.freed_bytes) == (0, 0)

@@ -2,17 +2,26 @@
 """Profile the simulator over any preset x workload cell.
 
 Standalone wrapper around :mod:`repro.sim.profiling` -- the same
-harness ``repro profile`` uses -- with one extra mode: ``--compare``
-profiles the reference and the table-based incremental scheduler paths
-back to back on the identical cell, checks the two digests match, and
-prints both effort summaries so a regression in either speed or
-behaviour is visible from one command.
+harness ``repro profile`` uses -- with two extra modes:
+
+* ``--compare`` profiles the reference and the table-based incremental
+  scheduler paths back to back on the identical cell, checks the two
+  digests match, and prints both effort summaries so a regression in
+  either speed or behaviour is visible from one command.
+* ``--opcodes`` counts Python calls and executed bytecodes per DRAM
+  command, per function and in total, under ``sys.settrace``.  Unlike
+  wall time these counts do not move between runs of the same code,
+  so one run before and one after a change measure its per-command
+  interpreter work.  ``--spec NAME --cell I`` (repeatable) counts
+  cells of a named figure grid instead of one ``--config``/``--mix``.
 
 ::
 
     python tools/profile_sim.py --config vsb --mix mix0
     python tools/profile_sim.py --config masa8-eruca --compare
     python tools/profile_sim.py --config ddr4 --output ddr4.pstats
+    python tools/profile_sim.py --opcodes --spec fig13 --accesses 160 \
+        --mixes mix0,mix3,mix6 --seed 5 --cell 0 --cell 12
 """
 
 from __future__ import annotations
@@ -27,8 +36,28 @@ except ImportError:  # pragma: no cover - direct invocation
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cli import CONFIG_FACTORIES
-from repro.sim.profiling import profile_run
+from repro.cpu.core import CoreConfig
+from repro.sim.parallel import SimJob
+from repro.sim.profiling import count_opcodes, profile_run
+from repro.sim.runner import cell_job
+from repro.sim.specs import NAMED_SPECS, ExperimentSettings, resolve_spec
 from repro.workloads.mixes import MIX_NAMES
+
+
+def _opcode_jobs(args) -> list:
+    """The cells ``--opcodes`` counts, as grid jobs."""
+    if args.spec is None:
+        return [SimJob(config=CONFIG_FACTORIES[args.config](),
+                       accesses=args.accesses,
+                       fragmentation=args.fragmentation, seed=args.seed,
+                       core_config=CoreConfig(), mix=args.mix)]
+    mixes = tuple(args.mixes.split(",")) if args.mixes else MIX_NAMES
+    settings = ExperimentSettings(accesses_per_core=args.accesses,
+                                  fragmentation=args.fragmentation,
+                                  seed=args.seed, mixes=mixes)
+    spec = resolve_spec(args.spec, settings)
+    cells = spec.expand()
+    return [cell_job(cells[i], spec.observe) for i in args.cell or [0]]
 
 
 def main(argv=None) -> int:
@@ -51,7 +80,25 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", action="store_true",
                         help="profile both paths and assert digests "
                              "match")
+    parser.add_argument("--opcodes", action="store_true",
+                        help="count Python calls and bytecodes per DRAM "
+                             "command instead of profiling")
+    parser.add_argument("--spec", choices=sorted(NAMED_SPECS),
+                        help="with --opcodes: count cells of this named "
+                             "figure grid")
+    parser.add_argument("--mixes", metavar="A,B",
+                        help="with --spec: the grid's mixes (default "
+                             "all)")
+    parser.add_argument("--cell", type=int, action="append",
+                        metavar="I",
+                        help="with --spec: grid cell index to count "
+                             "(repeatable; default 0)")
     args = parser.parse_args(argv)
+
+    if args.opcodes:
+        report = count_opcodes(_opcode_jobs(args))
+        print(report.format_table(limit=args.limit), end="")
+        return 0
 
     config = CONFIG_FACTORIES[args.config]()
     cell = dict(mix=args.mix, accesses=args.accesses,

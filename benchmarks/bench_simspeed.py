@@ -85,16 +85,16 @@ def _run_grid_phase(jobs: int, incremental: bool, cache_dir: str,
         counters = {"commands": 0, "peeks": 0, "candidates_built": 0,
                     "candidates_examined": 0, "transactions": 0}
         digests = {}
-        for (config, mix, _, _), result in \
-                sorted(context._result_cache.items(),
-                       key=lambda kv: (kv[0][0].name, kv[0][1])):
+        for cell, result in context._cell_cache.items():
+            if cell.kind != "mix":
+                continue
             counters["commands"] += result.stats.commands_issued
             counters["peeks"] += result.stats.peeks
             counters["candidates_built"] += result.stats.candidates_built
             counters["candidates_examined"] += \
                 result.stats.candidates_examined
             counters["transactions"] += result.transactions
-            digests[f"{config.name}|{mix}"] = result.digest()
+            digests[f"{cell.config.name}|{cell.workload}"] = result.digest()
         # Result-store discipline: each phase ran against a cold cache
         # directory, so the store must have missed once and put once
         # per grid cell, and served nothing.

@@ -28,14 +28,10 @@ from repro.cpu.trace import Trace
 from repro.dram.timing import FIG14_BUS_FREQUENCIES_HZ
 from repro.sim import config as cfgs
 from repro.sim.config import SystemConfig
-from repro.sim.metrics import (
-    LatencyHistogram,
-    gmean,
-    quartiles,
-    weighted_speedup,
-)
+from repro.sim.metrics import LatencyHistogram, gmean, quartiles
+from repro.sim.parallel import SimJob, _job_traces
 from repro.sim.runner import ResultSet, RunReport, execute_cells
-from repro.sim.simulator import SimulationResult, run_traces
+from repro.sim.simulator import SimulationResult
 from repro.sim.specs import (  # noqa: F401  (re-exports)
     FIG12_CONFIG_SPECS,
     FIG13_PLANES,
@@ -58,19 +54,16 @@ from repro.sim.specs import (  # noqa: F401  (re-exports)
     refresh_platform_spec,
 )
 from repro.sim.store import ResultStore
-from repro.workloads.generator import generate_traces
-from repro.workloads.mixes import MIXES, mix_traces
-from repro.workloads.profiles import profile
 
 
 class ExperimentContext:
-    """Caches traces and cell results across runners, store-backed.
+    """The in-memory layer over :func:`~repro.sim.runner.execute_cells`.
 
-    The context is the execution engine behind the figure shims: it
-    holds the in-process layer (traces, finished cells) above the
-    persistent :class:`~repro.sim.store.ResultStore`, and
-    :meth:`execute` runs a whole spec through
-    :func:`repro.sim.runner.execute_cells` -- memory first, store
+    The context holds one cell cache (:class:`CellKey` -> result) above
+    the persistent :class:`~repro.sim.store.ResultStore`.  Every result
+    it hands out -- a whole spec through :meth:`execute`, or one cell
+    through the lookups :meth:`run`, :meth:`alone_ipc` and
+    :meth:`mix_ws` -- comes from :meth:`run_cells`: memory first, store
     second, simulation (``jobs``-wide) only for what is left.  Serial
     and parallel execution produce identical tables.
 
@@ -80,8 +73,8 @@ class ExperimentContext:
     ``observe`` attaches cycle accounting (:mod:`repro.sim.accounting`)
     to every mix run, so each cached result carries a stall-attribution
     report that :func:`emit_stats_sidecars` can export next to the
-    figure tables.  Alone-IPC runs are never observed -- only their
-    scalar IPC is kept.  Observation never changes any table value.
+    figure tables.  Alone-IPC runs are never observed.  Observation
+    never changes any table value.
     """
 
     def __init__(self, settings: ExperimentSettings = ExperimentSettings(),
@@ -101,184 +94,81 @@ class ExperimentContext:
         #: Persistent result store (``None`` for hermetic contexts).
         self.store: Optional[ResultStore] = (
             ResultStore() if disk_cache else None)
-        #: Counters of the most recent :meth:`execute` pass.
+        #: Counters of the most recent :meth:`run_cells` pass.
         self.last_report: Optional[RunReport] = None
-        self._trace_cache: Dict[tuple, List[Trace]] = {}
-        self._alone_cache: Dict[tuple, float] = {}
         #: Finished cells keyed by :class:`CellKey` -- the memory layer
         #: :func:`~repro.sim.runner.execute_cells` diffs first.
         self._cell_cache: Dict[CellKey, SimulationResult] = {}
-        #: Finished cells keyed by (config, mix, frag, core_config) --
-        #: all frozen dataclasses, so equal configs hit across figures
-        #: (kept for :func:`emit_stats_sidecars` and :meth:`run`).
-        self._result_cache: Dict[tuple, SimulationResult] = {}
-
-    # -- workloads ---------------------------------------------------------
 
     def traces(self, mix: str,
                fragmentation: Optional[float] = None) -> List[Trace]:
+        """The mix's traces at the context's scale (memoised per
+        process, shared with the grid runner)."""
         s = self.settings
-        frag = s.fragmentation if fragmentation is None else fragmentation
-        key = (mix, frag, s.seed, s.accesses_per_core)
-        if key not in self._trace_cache:
-            self._trace_cache[key] = mix_traces(
-                mix, s.accesses_per_core, fragmentation=frag, seed=s.seed)
-        return self._trace_cache[key]
+        return _job_traces(SimJob(
+            config=self.alone_config, accesses=s.accesses_per_core,
+            fragmentation=(s.fragmentation if fragmentation is None
+                           else fragmentation),
+            seed=s.seed, core_config=self.core_config, mix=mix))
 
-    # -- cell keys ---------------------------------------------------------
+    # -- lookups -------------------------------------------------------------
 
-    def _alone_key(self, benchmark: str, frag: float,
-                   cc: CoreConfig) -> tuple:
+    def _view(self, fragmentation: Optional[float],
+              core_config: Optional[CoreConfig],
+              config: Optional[SystemConfig] = None,
+              mix: Optional[str] = None) -> ResultSet:
+        """The cache as a one-level spec at the context's scale (over
+        ``config`` x ``mix`` and its alone cells, when given)."""
         s = self.settings
-        return (benchmark, frag, s.seed, s.accesses_per_core, cc.clock_hz)
-
-    def _alone_cell(self, benchmark: str, frag: float,
-                    cc: CoreConfig) -> CellKey:
-        s = self.settings
-        return CellKey(kind="alone", config=self.alone_config,
-                       workload=benchmark,
-                       accesses=s.accesses_per_core, fragmentation=frag,
-                       seed=s.seed, core_config=cc)
-
-    def _mix_cell(self, config: SystemConfig, mix: str, frag: float,
-                  cc: CoreConfig) -> CellKey:
-        s = self.settings
-        return CellKey(kind="mix", config=config, workload=mix,
-                       accesses=s.accesses_per_core, fragmentation=frag,
-                       seed=s.seed, core_config=cc)
+        spec = ExperimentSpec(
+            name="context", mixes=(mix,) if mix else (),
+            configs=(ConfigSpec(inline=config),) if config else (),
+            accesses_per_core=s.accesses_per_core,
+            fragmentations=(s.fragmentation if fragmentation is None
+                            else fragmentation,),
+            seeds=(s.seed,), observe=self.observe,
+            alone=ConfigSpec(inline=self.alone_config))
+        return ResultSet(spec, self._cell_cache,
+                         core_config or self.core_config)
 
     def alone_ipc(self, benchmark: str,
                   fragmentation: Optional[float] = None,
                   core_config: Optional[CoreConfig] = None) -> float:
-        s = self.settings
-        frag = s.fragmentation if fragmentation is None else fragmentation
-        cc = core_config or self.core_config
-        key = self._alone_key(benchmark, frag, cc)
-        if key not in self._alone_cache:
-            cell = self._alone_cell(benchmark, frag, cc)
-            value = (self.store.get_scalar(cell.store_key())
-                     if self.store is not None else None)
-            if value is None:
-                traces = generate_traces(
-                    [profile(benchmark)], s.accesses_per_core,
-                    fragmentation=frag, seed=s.seed)
-                result = run_traces(self.alone_config, traces,
-                                    core_config=cc)
-                value = result.ipcs[0]
-                self._cell_cache[cell] = result
-                if self.store is not None:
-                    self.store.put(cell.store_key(), result,
-                                   key_info=cell.describe())
-            self._alone_cache[key] = value
-        return self._alone_cache[key]
-
-    # -- one (config, mix) evaluation ---------------------------------------
+        view = self._view(fragmentation, core_config)
+        self.run_cells([view.cell("alone", self.alone_config, benchmark)])
+        return view.alone_ipc(benchmark)
 
     def run(self, config: SystemConfig, mix: str,
             fragmentation: Optional[float] = None,
             core_config: Optional[CoreConfig] = None) -> SimulationResult:
-        s = self.settings
-        frag = s.fragmentation if fragmentation is None else fragmentation
-        cc = core_config or self.core_config
-        key = (config, mix, frag, cc)
-        result = self._result_cache.get(key)
-        if result is None:
-            cell = self._mix_cell(config, mix, frag, cc)
-            if self.store is not None:
-                result = self.store.get(cell.store_key(),
-                                        need_accounting=self.observe)
-            if result is None:
-                result = run_traces(config, self.traces(mix, frag),
-                                    core_config=cc,
-                                    observe=self.observe or None)
-                if self.store is not None:
-                    self.store.put(cell.store_key(), result,
-                                   key_info=cell.describe())
-            self._cell_cache[cell] = result
-            self._result_cache[key] = result
-        return result
+        view = self._view(fragmentation, core_config)
+        self.run_cells([view.cell("mix", config, mix)])
+        return view.mix(config, mix)
 
     def mix_ws(self, config: SystemConfig, mix: str,
                fragmentation: Optional[float] = None,
                core_config: Optional[CoreConfig] = None
                ) -> Tuple[float, SimulationResult]:
-        result = self.run(config, mix, fragmentation, core_config)
-        names, _ = MIXES[mix]
-        alone = [self.alone_ipc(n, fragmentation, core_config)
-                 for n in names]
-        return weighted_speedup(result.ipcs, alone), result
+        view = self._view(fragmentation, core_config, config, mix)
+        self.run_cells(view.spec.expand(view.core_config))
+        return view.ws(config, mix)
 
-    # -- spec execution -----------------------------------------------------
-
-    def _sync_legacy_caches(self, cells: Sequence[CellKey]) -> None:
-        """Mirror executed cells into the historical cache shapes that
-        :meth:`mix_ws` and :func:`emit_stats_sidecars` read."""
-        s = self.settings
-        for cell in cells:
-            result = self._cell_cache.get(cell)
-            if result is None or cell.seed != s.seed \
-                    or cell.accesses != s.accesses_per_core:
-                continue
-            if cell.kind == "mix":
-                self._result_cache[(cell.config, cell.workload,
-                                    cell.fragmentation,
-                                    cell.core_config)] = result
-            else:
-                self._alone_cache[self._alone_key(
-                    cell.workload, cell.fragmentation,
-                    cell.core_config)] = result.ipcs[0]
+    # -- execution -----------------------------------------------------------
 
     def run_cells(self, cells: Sequence[CellKey],
                   observe: Optional[bool] = None) -> RunReport:
         """Execute a cell list through memory -> store -> simulation."""
-        report = execute_cells(
+        self.last_report = execute_cells(
             cells, results=self._cell_cache, store=self.store,
             jobs=self.jobs,
             observe=self.observe if observe is None else observe)
-        self._sync_legacy_caches(cells)
-        self.last_report = report
-        return report
+        return self.last_report
 
     def execute(self, spec: ExperimentSpec) -> ResultSet:
         """Run a whole spec; only cells absent everywhere simulate."""
         self.run_cells(spec.expand(self.core_config),
                        observe=spec.observe)
         return ResultSet(spec, self._cell_cache, self.core_config)
-
-    # -- grid prefetch ------------------------------------------------------
-
-    def prefetch(self, cells: Sequence[tuple], alone: bool = True) -> None:
-        """Warm the caches for a list of grid cells, ``jobs``-wide.
-
-        ``cells`` holds (config, mix, fragmentation, core_config)
-        tuples (the trailing pair may be ``None`` for the context
-        defaults).  With ``alone`` set, the member benchmarks' alone-IPC
-        runs are prefetched too.  Serial contexts return immediately:
-        the lazy per-cell path is just as fast in-process, reuses
-        cached traces, and reads the same store.
-        """
-        if self.jobs <= 1:
-            return
-        s = self.settings
-        keys: List[CellKey] = []
-        seen = set()
-
-        def emit(cell: CellKey) -> None:
-            if cell not in seen:
-                seen.add(cell)
-                keys.append(cell)
-
-        for cell in cells:
-            config, mix = cell[0], cell[1]
-            frag = cell[2] if len(cell) > 2 and cell[2] is not None \
-                else s.fragmentation
-            cc = cell[3] if len(cell) > 3 and cell[3] is not None \
-                else self.core_config
-            if alone:
-                for benchmark in MIXES[mix][0]:
-                    emit(self._alone_cell(benchmark, frag, cc))
-            emit(self._mix_cell(config, mix, frag, cc))
-        self.run_cells(keys)
 
 
 # -- Fig. 12: normalised weighted speedup per mix ---------------------------
@@ -653,10 +543,15 @@ def emit_stats_sidecars(context: ExperimentContext, directory: str,
     import os
 
     os.makedirs(directory, exist_ok=True)
+    s = context.settings
     paths: List[str] = []
-    for (config, mix, frag, _cc), result in sorted(
-            context._result_cache.items(),
-            key=lambda kv: (kv[0][0].name, kv[0][1], kv[0][2])):
+    for cell, result in sorted(
+            ((cell, result) for cell, result in context._cell_cache.items()
+             if cell.kind == "mix" and cell.seed == s.seed
+             and cell.accesses == s.accesses_per_core),
+            key=lambda kv: (kv[0].config.name, kv[0].workload,
+                            kv[0].fragmentation)):
+        config, mix, frag = cell.config, cell.workload, cell.fragmentation
         report = result.accounting
         if report is None:
             continue

@@ -174,7 +174,11 @@ class ResultSet:
         self.core_config = core_config
         self._alone_config = spec.alone.to_config()
 
-    def _key(self, kind, config, workload, fragmentation, seed, core):
+    def cell(self, kind: str, config, workload: str,
+             fragmentation: float = None, seed: int = None,
+             core_config: CoreConfig = None) -> CellKey:
+        """The key of one cell of the spec's scale; fragmentation and
+        seed default to the first level, the core to the set's."""
         spec = self.spec
         return CellKey(
             kind=kind, config=config, workload=workload,
@@ -182,22 +186,22 @@ class ResultSet:
             fragmentation=(spec.fragmentations[0]
                            if fragmentation is None else fragmentation),
             seed=spec.expanded_seeds()[0] if seed is None else seed,
-            core_config=core or self.core_config)
+            core_config=core_config or self.core_config)
 
     def mix(self, config, mix: str, fragmentation: float = None,
             seed: int = None,
             core_config: CoreConfig = None) -> SimulationResult:
         """The mix cell's result (KeyError if not in the spec)."""
-        return self.results[self._key("mix", config, mix,
-                                      fragmentation, seed, core_config)]
+        return self.results[self.cell("mix", config, mix, fragmentation,
+                                      seed, core_config)]
 
     def alone_ipc(self, benchmark: str, fragmentation: float = None,
                   seed: int = None,
                   core_config: CoreConfig = None) -> float:
         """The benchmark's alone IPC on the spec's alone baseline."""
-        cell = self._key("alone", self._alone_config, benchmark,
-                         fragmentation, seed, core_config)
-        return self.results[cell].ipcs[0]
+        return self.results[self.cell(
+            "alone", self._alone_config, benchmark, fragmentation, seed,
+            core_config)].ipcs[0]
 
     def ws(self, config, mix: str, fragmentation: float = None,
            seed: int = None, core_config: CoreConfig = None

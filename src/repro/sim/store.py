@@ -256,6 +256,38 @@ def store_counter_stats() -> Dict[str, int]:
     return GLOBAL_COUNTERS.as_dict()
 
 
+#: Top-level fields of a result summary that :func:`restore_result`
+#: reads; an entry missing any of them is unreadable.
+_RESULT_FIELDS = frozenset(("config_name", "ipcs", "finish_times",
+                            "elapsed_ps", "transactions", "stats",
+                            "energy", "precharge_causes"))
+
+
+def _read_entry(path: str) -> Optional[dict]:
+    """The entry at ``path``, or ``None`` when it cannot be used.
+
+    Unusable means unreadable JSON, no JSON object, another cache
+    version, or a ``result`` that is not a full summary (the one-core
+    ``{"config_name": "", "ipcs": [x]}`` stub an earlier scalar writer
+    left, say).  Entries from other cache versions are ignored, not
+    misread: the version is checked inside the payload as well as being
+    part of the key digest, so even a hand-placed file from an older
+    scheme cannot surface.
+    """
+    try:
+        with open(path) as fh:
+            entry = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(entry, dict) \
+            or entry.get("version") != CACHE_VERSION:
+        return None
+    result = entry.get("result")
+    if not isinstance(result, dict) or not _RESULT_FIELDS <= result.keys():
+        return None
+    return entry
+
+
 # -- the store ---------------------------------------------------------------
 
 
@@ -305,20 +337,9 @@ class ResultStore:
     def load_entry(self, key: str) -> Optional[dict]:
         """The raw entry payload, or ``None`` on miss/corruption.
 
-        Entries from other cache versions are ignored, not misread:
-        the version is checked inside the payload as well as being part
-        of the key digest, so even a hand-placed file from an older
-        scheme cannot surface.
+        See :func:`_read_entry` for what counts as readable.
         """
-        try:
-            with open(self.path_for(key)) as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(entry, dict) \
-                or entry.get("version") != CACHE_VERSION:
-            return None
-        return entry
+        return _read_entry(self.path_for(key))
 
     def get(self, key: str,
             need_accounting: bool = False) -> Optional[SimulationResult]:
@@ -329,7 +350,7 @@ class ResultStore:
         cell (the re-run's put then merges the sidecar in).
         """
         entry = self.load_entry(key)
-        if entry is None or "result" not in entry:
+        if entry is None:
             self._miss()
             return None
         if need_accounting and not entry.get("accounting"):
@@ -344,7 +365,7 @@ class ResultStore:
     def contains(self, key: str, need_accounting: bool = False) -> bool:
         """Hit test without deserialising (and without counting)."""
         entry = self.load_entry(key)
-        if entry is None or "result" not in entry:
+        if entry is None:
             return False
         if need_accounting and not entry.get("accounting"):
             return False
@@ -404,35 +425,6 @@ class ResultStore:
         self.counters.puts += 1
         GLOBAL_COUNTERS.puts += 1
 
-    def put_scalar(self, key: str, ipc: float,
-                   key_info: Optional[dict] = None) -> None:
-        """Persist a bare alone-IPC value.
-
-        The entry holds a degenerate one-core summary so scalar and
-        full-summary writers share one read path (``ipcs[0]``).
-        """
-        entry = {
-            "version": CACHE_VERSION,
-            "key": key_info or {},
-            "result": {"config_name": "", "ipcs": [ipc]},
-            "accounting": None,
-            "written_at": time.time(),
-        }
-        self._write(key, entry)
-        self.counters.puts += 1
-        GLOBAL_COUNTERS.puts += 1
-
-    def get_scalar(self, key: str) -> Optional[float]:
-        """``ipcs[0]`` of the stored entry (works for scalar *and*
-        full-summary entries), or ``None``."""
-        entry = self.load_entry(key)
-        result = entry.get("result") if entry else None
-        if not result or not result.get("ipcs"):
-            self._miss()
-            return None
-        self._hit()
-        return result["ipcs"][0]
-
     def _write(self, key: str, entry: dict) -> None:
         path = self.path_for(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -475,19 +467,16 @@ class ResultStore:
         now = time.time()
         for path in list(self.iter_paths()):
             report.scanned += 1
-            try:
-                with open(path) as fh:
-                    entry = json.load(fh)
-                if not isinstance(entry, dict):
-                    # Valid JSON but no entry (``null``, ``[]``):
-                    # unreadable, as load_entry treats it.
-                    raise TypeError("store entry is not a JSON object")
+            entry = _read_entry(path)
+            stale = entry is None
+            stamp = 0.0
+            if not stale:
                 raw_stamp = entry.get("written_at")
-                stamp = (float(raw_stamp) if raw_stamp is not None
-                         else os.path.getmtime(path))
-                stale = entry.get("version") != CACHE_VERSION
-            except (OSError, ValueError, TypeError):
-                stamp, stale = 0.0, True
+                try:
+                    stamp = (float(raw_stamp) if raw_stamp is not None
+                             else os.path.getmtime(path))
+                except (OSError, ValueError, TypeError):
+                    stale = True
             if not stale and max_age_days is not None:
                 stale = now - stamp > max_age_days * 86400.0
             if stale:

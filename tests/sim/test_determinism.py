@@ -69,30 +69,44 @@ def test_alone_runs_through_grid_match_inline(tmp_path, monkeypatch):
     assert gridded.ipcs[0] == inline.alone_ipc("mcf")
 
 
+def _distinct_results(n):
+    """``n`` small mix results with pairwise different digests."""
+    results = [run_traces(cfgs.ddr4_baseline(),
+                          mix_traces("mix0", 60, seed=seed))
+               for seed in range(n)]
+    assert len({r.digest() for r in results}) == n
+    return results
+
+
 def test_disk_cache_round_trip(tmp_path):
     key = _alone_key(cfgs.ddr4_baseline())
+    first, second = _distinct_results(2)
     store = ResultStore(str(tmp_path / "cache"))
-    assert store.get_scalar(key) is None
-    store.put_scalar(key, 1.234)
+    assert store.get(key) is None
+    store.put(key, first)
     # A fresh instance reads what the first one persisted.
-    assert ResultStore(str(tmp_path / "cache")).get_scalar(key) == 1.234
+    assert ResultStore(str(tmp_path / "cache")).get(key).digest() == \
+        first.digest()
     # A second writer's entry does not displace the first.
-    other = ResultStore(str(tmp_path / "cache"))
-    other.put_scalar(_alone_key(cfgs.ddr4_baseline(), benchmark="lbm"), 2.5)
-    assert ResultStore(str(tmp_path / "cache")).get_scalar(key) == 1.234
+    other_key = _alone_key(cfgs.ddr4_baseline(), benchmark="lbm")
+    ResultStore(str(tmp_path / "cache")).put(other_key, second)
+    fresh = ResultStore(str(tmp_path / "cache"))
+    assert fresh.get(key).digest() == first.digest()
+    assert fresh.get(other_key).digest() == second.digest()
 
 
 def test_disk_cache_survives_corruption(tmp_path):
     key = _alone_key(cfgs.ddr4_baseline())
+    first, second = _distinct_results(2)
     store = ResultStore(str(tmp_path))
-    store.put_scalar(key, 1.0)
+    store.put(key, first)
     # Corrupt the entry in place: it must read as a miss, and a re-put
     # must repair it.
     with open(store.path_for(key), "w") as fh:
         fh.write("{not json")
-    assert store.get_scalar(key) is None
-    store.put_scalar(key, 1.0)
-    assert ResultStore(str(tmp_path)).get_scalar(key) == 1.0
+    assert store.get(key) is None
+    store.put(key, second)
+    assert ResultStore(str(tmp_path)).get(key).digest() == second.digest()
 
 
 def test_context_alone_ipc_uses_disk_cache(tmp_path, monkeypatch):
@@ -115,7 +129,7 @@ def test_context_alone_ipc_uses_disk_cache(tmp_path, monkeypatch):
 
 
 def test_parallel_context_matches_serial_tables(tmp_path, monkeypatch):
-    """fig12-style prefetch through workers equals the serial runner."""
+    """A fig12 grid run through workers equals the serial runner."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     from repro.sim.experiments import fig12
     settings = ExperimentSettings(accesses_per_core=250,
@@ -157,11 +171,12 @@ def test_disk_cache_two_writers_freshest_wins(tmp_path):
     earlier must not shadow a value another writer persisted later."""
     shared = _alone_key(cfgs.ddr4_baseline())
     unrelated = _alone_key(cfgs.ddr4_baseline(), benchmark="lbm")
+    one, two, three = _distinct_results(3)
     stale = ResultStore(str(tmp_path))
-    stale.put_scalar(shared, 1.0)
+    stale.put(shared, one)
     other = ResultStore(str(tmp_path))
-    other.put_scalar(shared, 2.0)      # a second writer updates it
-    stale.put_scalar(unrelated, 3.0)   # must not resurrect 1.0
+    other.put(shared, two)        # a second writer updates it
+    stale.put(unrelated, three)   # must not resurrect the first value
     fresh = ResultStore(str(tmp_path))
-    assert fresh.get_scalar(shared) == 2.0
-    assert fresh.get_scalar(unrelated) == 3.0
+    assert fresh.get(shared).digest() == two.digest()
+    assert fresh.get(unrelated).digest() == three.digest()

@@ -47,6 +47,41 @@ class TestContext:
         assert result.transactions == 4 * SMALL.accesses_per_core
 
 
+    def test_lookups_share_the_spec_grid_cache(self, monkeypatch):
+        """``mix_ws``/``alone_ipc`` after a figure run read the cells the
+        spec path filled: same values bit for bit, nothing simulated."""
+        import repro.sim.parallel as parallel
+        from repro.sim.specs import ConfigSpec, ExperimentSpec
+
+        settings = ExperimentSettings(accesses_per_core=150,
+                                      mixes=("mix0",))
+        context = ExperimentContext(settings, disk_cache=False)
+        table = fig12(context, [ddr4_baseline(), vsb()])
+
+        def no_simulation(job):
+            raise AssertionError(f"simulated a cached cell: {job}")
+
+        monkeypatch.setattr(parallel, "_run_job", no_simulation)
+        rs = context.execute(ExperimentSpec(
+            name="fig12", mixes=("mix0",), accesses_per_core=150,
+            configs=(ConfigSpec(inline=vsb()),)))
+        ws, result = context.mix_ws(vsb(), "mix0")
+        assert ws == table.values[vsb().name]["mix0"]
+        assert result is rs.mix(vsb(), "mix0")
+        assert context.alone_ipc("mcf") == rs.alone_ipc("mcf")
+        assert context.last_report.memory_hits == 1
+        assert context.last_report.submitted == 0
+
+    def test_observed_run_carries_accounting(self):
+        context = ExperimentContext(
+            ExperimentSettings(accesses_per_core=120, mixes=("mix0",)),
+            disk_cache=False, observe=True)
+        result = context.run(vsb(), "mix0")
+        assert result.accounting is not None
+        result.accounting.verify()
+        assert context.run(vsb(), "mix0") is result
+
+
 class TestFig12:
     def test_table_covers_all_configs(self, context):
         table = fig12(context, configs=[ddr4_baseline(), ideal32()])

@@ -12,13 +12,16 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from repro.cpu.core import CoreConfig
 from repro.sim import config as cfgs
 from repro.sim.accounting import ObserveOptions
+from repro.sim.runner import execute_cells
 from repro.sim.simulator import run_traces
+from repro.sim.specs import CellKey
 from repro.sim.store import CACHE_VERSION, ResultStore, store_key
 from repro.workloads.mixes import mix_traces
 
@@ -88,8 +91,8 @@ def test_need_accounting_misses_on_plain_entries(tmp_path):
     assert store.get(_key()) is not None
 
 
-def _writer(directory, key, value):
-    ResultStore(directory).put_scalar(key, value)
+def _writer(directory, key, result):
+    ResultStore(directory).put(key, result)
 
 
 def test_two_process_writers_both_persist(tmp_path):
@@ -99,16 +102,22 @@ def test_two_process_writers_both_persist(tmp_path):
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else None)
     keys = [_key(seed=1), _key(seed=2)]
+    results = [_small_result(), _small_result(observe=True)]
     procs = [ctx.Process(target=_writer,
-                         args=(str(tmp_path), key, float(i)))
-             for i, key in enumerate(keys)]
+                         args=(str(tmp_path), key, result))
+             for key, result in zip(keys, results)]
     for p in procs:
         p.start()
     for p in procs:
         p.join()
         assert p.exitcode == 0
     store = ResultStore(str(tmp_path))
-    assert [store.get_scalar(k) for k in keys] == [0.0, 1.0]
+    # The first writer's result is plain, the second's observed: each
+    # key holds exactly what its own writer put.
+    first, second = (store.get(k) for k in keys)
+    assert first.digest() == results[0].digest()
+    assert first.accounting is None
+    assert second.accounting.to_dict() == results[1].accounting.to_dict()
 
 
 def test_v3_alone_ipc_table_is_ignored_not_misread(tmp_path):
@@ -121,35 +130,64 @@ def test_v3_alone_ipc_table_is_ignored_not_misread(tmp_path):
     with open(tmp_path / "alone_ipc.json", "w") as fh:
         json.dump({"version": 3, "entries": {key: 99.0}}, fh)
     store = ResultStore(str(tmp_path))
-    assert store.get_scalar(key) is None
+    assert store.get(key) is None
     # Even a hand-placed *entry file* from another version reads as a
     # miss (the version is checked inside the payload as well).
     path = store.path_for(key)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump({"version": 3, "result": {"ipcs": [99.0]}}, fh)
-    assert store.get_scalar(key) is None
     assert store.get(key) is None
+    assert not store.contains(key)
     # A fresh put repairs the entry in place.
-    store.put_scalar(key, 1.5)
-    assert ResultStore(str(tmp_path)).get_scalar(key) == 1.5
-
-
-def test_scalar_and_full_entries_share_one_read_path(tmp_path):
-    """A full grid-run summary satisfies an alone-IPC ``get_scalar``
-    and vice versa: both read ``ipcs[0]`` of the same entry."""
-    store = ResultStore(str(tmp_path))
     live = _small_result()
-    store.put(_key(), live)
-    assert store.get_scalar(_key()) == live.ipcs[0]
-    store.put_scalar(_key(seed=5), 2.75)
-    assert ResultStore(str(tmp_path)).get_scalar(_key(seed=5)) == 2.75
+    store.put(key, live)
+    assert ResultStore(str(tmp_path)).get(key).digest() == live.digest()
+
+
+def _plant_stub(store, key, ipc=1.5):
+    """Hand-place the one-core stub summary an earlier scalar writer
+    produced: a current-version entry with only a name and one IPC."""
+    path = store.path_for(key)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump({"version": CACHE_VERSION, "key": {},
+                   "result": {"config_name": "", "ipcs": [ipc]},
+                   "accounting": None, "written_at": time.time()}, fh)
+
+
+def test_stub_summary_entry_is_a_miss_and_a_grid_run_repairs_it(tmp_path):
+    """Regression: a stub entry at an alone cell's key made
+    ``execute_cells`` raise ``KeyError: 'stats'`` while restoring it,
+    and ``contains`` reported it as a hit."""
+    cell = CellKey(kind="alone", config=cfgs.ddr4_baseline(),
+                   workload="mcf", accesses=200, fragmentation=0.1,
+                   seed=0, core_config=CoreConfig())
+    key = cell.store_key()
+    store = ResultStore(str(tmp_path))
+    _plant_stub(store, key)
+    results = {}
+    report = execute_cells([cell], results=results, store=store)
+    assert (report.store_hits, report.submitted) == (0, 1)
+    assert results[cell].stats.commands_issued > 0
+    # The run's put replaced the stub with the full summary.
+    fresh = ResultStore(str(tmp_path))
+    assert fresh.contains(key)
+    assert fresh.get(key).digest() == results[cell].digest()
+    # A stub is no hit for ``contains`` and unreadable for ``gc``.
+    _plant_stub(store, _key(seed=9))
+    assert not store.contains(_key(seed=9))
+    assert store.get(_key(seed=9)) is None
+    report = store.gc()
+    assert (report.scanned, report.removed, report.kept) == (2, 1, 1)
+    assert fresh.contains(key)
 
 
 def test_gc_prunes_versions_age_and_excess(tmp_path):
     store = ResultStore(str(tmp_path))
+    live = _small_result()
     for seed in range(3):
-        store.put_scalar(_key(seed=seed), float(seed))
+        store.put(_key(seed=seed), live)
     # A stale-version file, a corrupt file and valid JSON that is not
     # an entry object all go unconditionally.
     stale = store.path_for("stale")
@@ -211,7 +249,7 @@ def _plant_temp(store, pid, payload="{half a write"):
 
 def test_gc_collects_the_temp_file_of_a_dead_writer(tmp_path):
     store = ResultStore(str(tmp_path))
-    store.put_scalar(_key(seed=1), 1.0)
+    store.put(_key(seed=1), _small_result())
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait()  # reaped: its pid names no live process
     orphan = _plant_temp(store, child.pid)
